@@ -104,6 +104,19 @@ func TestWarmWorkloadSpeedup(t *testing.T) {
 	// prompt to a simulated backend, so the backends' call counts must sum
 	// to the layer's misses.
 	layers := sys.CacheStats()
+
+	// Dead-layer guard: the memoization story is exactly these three
+	// layers, and each must have earned a hit over cold+warm. A layer
+	// that registers on the shared cache without ever hitting fails here.
+	if len(layers) != 3 {
+		t.Errorf("cache layers = %v, want exactly llm, plan, selectivity", layers)
+	}
+	for _, name := range []string{"llm", "plan", "selectivity"} {
+		if st, ok := layers[name]; !ok || st.Hits == 0 {
+			t.Errorf("cache layer %q: registered=%v hits=%d, want hits > 0", name, ok, st.Hits)
+		}
+	}
+
 	sims := map[*llm.Sim]bool{}
 	for _, c := range []llm.Client{sys.PlannerClient, sys.WorkerClient} {
 		if s := llm.SimOf(c); s != nil {

@@ -10,13 +10,32 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"unify"
 	"unify/internal/server"
+)
+
+// Connection hygiene for a listener exposed to arbitrary clients. There is
+// deliberately no write timeout: a query legitimately runs for as long as
+// its -timeout allows, and the admission queue already bounds concurrency.
+const (
+	// readHeaderTimeout bounds how long a client may dribble request
+	// headers (slowloris) before the connection is dropped.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout reclaims keep-alive connections with no request in flight.
+	idleTimeout = 2 * time.Minute
+	// drainTimeout is how long in-flight queries get to finish after
+	// SIGINT/SIGTERM before the process exits anyway.
+	drainTimeout = 30 * time.Second
 )
 
 func main() {
@@ -79,5 +98,28 @@ func main() {
 	}
 	fmt.Printf("serving %d documents on %s (max %d concurrent, %d queued)\n",
 		sys.Store.Len(), *addr, *maxConcurrent, *maxQueue)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.ListenAndServe() }()
+	select {
+	case err := <-serveErr:
+		log.Fatal(err) // the listener failed (e.g. address in use)
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process the default way
+	fmt.Println("shutting down: draining in-flight queries...")
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drainCtx); err != nil {
+		log.Fatalf("shutdown: %v", err)
+	}
+	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
+	}
 }

@@ -14,8 +14,8 @@ import (
 	"unify/internal/workload"
 )
 
-// LayerRate summarizes one cache layer's activity during the warm pass of
-// the repeated-workload benchmark.
+// LayerRate summarizes one cache layer's activity during one pass of the
+// repeated-workload benchmark.
 type LayerRate struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
@@ -23,8 +23,8 @@ type LayerRate struct {
 }
 
 // CacheBenchResult is the repeated-workload benchmark report: the same
-// query batch executed twice against one system, with per-layer hit rates
-// for the warm pass, plus an uncached control run that pins down the cold
+// query batch executed twice against one system, with per-layer traffic
+// for each pass, plus an uncached control run that pins down the cold
 // cost the cache hierarchy must not regress.
 type CacheBenchResult struct {
 	Dataset string `json:"dataset"`
@@ -45,7 +45,7 @@ type CacheBenchResult struct {
 	// counterpart (must be zero: caching is semantics-preserving).
 	AnswerMismatches int `json:"answer_mismatches"`
 
-	// Headline warm-pass hit rates (also present in Layers).
+	// Headline warm-pass hit rates (also present in WarmLayers).
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
 	LLMCacheHitRate  float64 `json:"llm_cache_hit_rate"`
 
@@ -55,8 +55,12 @@ type CacheBenchResult struct {
 	WarmCachedLLMCalls int `json:"warm_cached_llm_calls"`
 	WarmPlanCacheHits  int `json:"warm_plan_cache_hits"`
 
-	// Layers maps every cache layer to its warm-pass delta counters.
-	Layers map[string]LayerRate `json:"layers"`
+	// ColdLayers and WarmLayers map every layer registered on the shared
+	// cache to its traffic during the cold and the warm pass. The warm
+	// pass alone hides most layers (the plan cache short-circuits
+	// everything beneath it), so a layer is judged on both.
+	ColdLayers map[string]LayerRate `json:"cold_layers"`
+	WarmLayers map[string]LayerRate `json:"warm_layers"`
 }
 
 // MarshalJSON renders the latencies in seconds alongside the counters.
@@ -159,14 +163,28 @@ func RunCacheBench(ctx context.Context, cfg Config) (*CacheBenchResult, error) {
 		}
 	}
 
-	// Per-layer warm-pass deltas.
-	res.Layers = map[string]LayerRate{}
+	// Per-layer traffic: the cold pass is everything up to the snapshot
+	// (SCE training at open included), the warm pass the delta after it.
+	res.ColdLayers = map[string]LayerRate{}
+	res.WarmLayers = map[string]LayerRate{}
+	var dead []string
 	for layer, after := range sys.CacheStats() {
-		d := after.Sub(before[layer])
-		res.Layers[layer] = LayerRate{Hits: d.Hits, Misses: d.Misses, HitRate: d.HitRate()}
+		cold := before[layer]
+		warm := after.Sub(cold)
+		res.ColdLayers[layer] = LayerRate{Hits: cold.Hits, Misses: cold.Misses, HitRate: cold.HitRate()}
+		res.WarmLayers[layer] = LayerRate{Hits: warm.Hits, Misses: warm.Misses, HitRate: warm.HitRate()}
+		if after.Hits == 0 {
+			dead = append(dead, layer)
+		}
 	}
-	res.PlanCacheHitRate = res.Layers["plan"].HitRate
-	res.LLMCacheHitRate = res.Layers["llm"].HitRate
+	res.PlanCacheHitRate = res.WarmLayers["plan"].HitRate
+	res.LLMCacheHitRate = res.WarmLayers["llm"].HitRate
+	if len(dead) > 0 {
+		// A layer that never hits over a repeated workload only costs
+		// memory and a key scheme: fail instead of publishing it.
+		sort.Strings(dead)
+		return nil, fmt.Errorf("cache layers with zero hits over cold+warm: %v", dead)
+	}
 	return res, nil
 }
 
@@ -179,15 +197,15 @@ func PrintCacheBench(w io.Writer, r *CacheBenchResult) {
 	fmt.Fprintf(w, "  %-22s %9.1fx\n", "warm speedup", r.Speedup)
 	fmt.Fprintf(w, "  %-22s %10d\n", "cached LLM calls", r.WarmCachedLLMCalls)
 	fmt.Fprintf(w, "  %-22s %10d\n", "plan-cache hits", r.WarmPlanCacheHits)
-	layers := make([]string, 0, len(r.Layers))
-	for layer := range r.Layers {
+	layers := make([]string, 0, len(r.WarmLayers))
+	for layer := range r.WarmLayers {
 		layers = append(layers, layer)
 	}
 	sort.Strings(layers)
 	for _, layer := range layers {
-		lr := r.Layers[layer]
-		fmt.Fprintf(w, "  layer %-12s hit rate %.2f (%d hits / %d misses)\n",
-			layer, lr.HitRate, lr.Hits, lr.Misses)
+		cold, warm := r.ColdLayers[layer], r.WarmLayers[layer]
+		fmt.Fprintf(w, "  layer %-12s cold %d hits / %d misses, warm %d hits / %d misses (hit rate %.2f)\n",
+			layer, cold.Hits, cold.Misses, warm.Hits, warm.Misses, warm.HitRate)
 	}
 	if r.AnswerMismatches > 0 {
 		fmt.Fprintf(w, "  WARNING: %d warm answers diverged from cold\n", r.AnswerMismatches)

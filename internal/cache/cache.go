@@ -1,10 +1,11 @@
 // Package cache is Unify's shared reuse backbone: a sharded,
-// byte-cost-bounded LRU with in-flight coalescing (singleflight) and
-// generation-aware eviction. One LRU instance backs every caching layer in
-// the system — LLM response memoization, docstore query embeddings and
-// distance maps, SCE bucketizations, optimizer selectivities and plans —
-// so a single byte budget governs total memory and hot layers can displace
-// cold ones.
+// byte-cost-bounded LRU with in-flight coalescing (singleflight). One LRU
+// instance backs every caching layer in the system — LLM responses,
+// optimizer selectivities and plans — so a single byte budget governs
+// total memory and hot layers can displace cold ones. Entries are never
+// invalidated in place: a layer whose values depend on mutable state
+// (the corpus) puts that state's generation in its keys, and superseded
+// entries age out of the LRU.
 //
 // Layers are typed, named views over the shared LRU (see Layer). Each
 // layer tracks its own hit/miss/eviction/coalesce counters, and the LRU
@@ -31,8 +32,7 @@ const (
 	EventHit Event = iota
 	// EventMiss: a lookup required computing the value.
 	EventMiss
-	// EventEvict: an entry was removed to respect the byte budget or
-	// because its generation went stale.
+	// EventEvict: an entry was removed to respect the byte budget.
 	EventEvict
 	// EventCoalesce: a lookup joined an identical in-flight computation
 	// instead of recomputing.
@@ -123,7 +123,6 @@ type entry struct {
 	key   string // full key (layer-prefixed)
 	val   any
 	bytes int64
-	gen   uint64
 	layer *layerStats
 }
 
@@ -151,7 +150,6 @@ type shard struct {
 type LRU struct {
 	shards  []*shard
 	seed    maphash.Seed
-	gen     atomic.Uint64
 	onEvent func(layer string, ev Event, n int)
 
 	mu     sync.Mutex
@@ -206,25 +204,6 @@ func New(maxBytes int64, opts ...Option) *LRU {
 	return l
 }
 
-// Bump advances the cache generation: every existing entry becomes stale
-// and is discarded (counted as an eviction) on next access. Call after
-// mutating the underlying data the cache derives from (e.g. reindexing
-// the document store).
-func (l *LRU) Bump() {
-	if l == nil {
-		return
-	}
-	l.gen.Add(1)
-}
-
-// Generation returns the current generation number.
-func (l *LRU) Generation() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.gen.Load()
-}
-
 const layerSep = "\x1f"
 
 func (l *LRU) shardFor(key string) *shard {
@@ -251,20 +230,15 @@ func (l *LRU) emit(layer string, ev Event, n int) {
 	}
 }
 
-// lookupLocked returns the live value for key, discarding a stale-
-// generation entry. Caller holds sh.mu.
-func (sh *shard) lookupLocked(key string, gen uint64) (any, *layerStats, bool, bool) {
+// lookupLocked returns the value for key, marking it most recently used.
+// Caller holds sh.mu.
+func (sh *shard) lookupLocked(key string) (any, bool) {
 	el, ok := sh.items[key]
 	if !ok {
-		return nil, nil, false, false
-	}
-	e := el.Value.(*entry)
-	if e.gen != gen {
-		sh.removeLocked(el)
-		return nil, e.layer, false, true // stale: report the eviction
+		return nil, false
 	}
 	sh.ll.MoveToFront(el)
-	return e.val, e.layer, true, false
+	return el.Value.(*entry).val, true
 }
 
 // removeLocked unlinks an entry and updates its layer accounting. Caller
@@ -282,13 +256,13 @@ func (sh *shard) removeLocked(el *list.Element) {
 // insertLocked adds or replaces an entry, then evicts from the LRU tail
 // until the shard respects its budget. Returns the layers that lost
 // entries (for event emission outside the lock). Caller holds sh.mu.
-func (sh *shard) insertLocked(key string, val any, cost int64, gen uint64, ls *layerStats) []*layerStats {
+func (sh *shard) insertLocked(key string, val any, cost int64, ls *layerStats) []*layerStats {
 	if el, ok := sh.items[key]; ok {
 		sh.removeLocked(el)
 		// Replacing an entry is not an eviction; undo the count.
 		el.Value.(*entry).layer.evictions.Add(^uint64(0))
 	}
-	e := &entry{key: key, val: val, bytes: cost, gen: gen, layer: ls}
+	e := &entry{key: key, val: val, bytes: cost, layer: ls}
 	sh.items[key] = sh.ll.PushFront(e)
 	sh.bytes += cost
 	ls.entries.Add(1)
@@ -310,11 +284,8 @@ func (l *LRU) get(ls *layerStats, key string) (any, bool) {
 	full := ls.name + layerSep + key
 	sh := l.shardFor(full)
 	sh.mu.Lock()
-	v, _, ok, stale := sh.lookupLocked(full, l.gen.Load())
+	v, ok := sh.lookupLocked(full)
 	sh.mu.Unlock()
-	if stale {
-		l.emit(ls.name, EventEvict, 1)
-	}
 	if ok {
 		ls.hits.Add(1)
 		l.emit(ls.name, EventHit, 1)
@@ -336,7 +307,7 @@ func (l *LRU) put(ls *layerStats, key string, val any, cost int64) {
 	full := ls.name + layerSep + key
 	sh := l.shardFor(full)
 	sh.mu.Lock()
-	evicted := sh.insertLocked(full, val, cost, l.gen.Load(), ls)
+	evicted := sh.insertLocked(full, val, cost, ls)
 	sh.mu.Unlock()
 	for _, el := range evicted {
 		l.emit(el.name, EventEvict, 1)
@@ -355,8 +326,7 @@ func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func(
 	full := ls.name + layerSep + key
 	sh := l.shardFor(full)
 	sh.mu.Lock()
-	v, _, ok, stale := sh.lookupLocked(full, l.gen.Load())
-	if ok {
+	if v, ok := sh.lookupLocked(full); ok {
 		sh.mu.Unlock()
 		ls.hits.Add(1)
 		l.emit(ls.name, EventHit, 1)
@@ -364,9 +334,6 @@ func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func(
 	}
 	if f, exists := sh.inflight[full]; exists {
 		sh.mu.Unlock()
-		if stale {
-			l.emit(ls.name, EventEvict, 1)
-		}
 		<-f.done
 		if f.err != nil {
 			ls.misses.Add(1)
@@ -382,9 +349,6 @@ func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func(
 	f := &flight{done: make(chan struct{})}
 	sh.inflight[full] = f
 	sh.mu.Unlock()
-	if stale {
-		l.emit(ls.name, EventEvict, 1)
-	}
 	ls.misses.Add(1)
 	l.emit(ls.name, EventMiss, 1)
 
@@ -399,7 +363,7 @@ func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func(
 		if c < 1 {
 			c = 1
 		}
-		evicted = sh.insertLocked(full, val, c, l.gen.Load(), ls)
+		evicted = sh.insertLocked(full, val, c, ls)
 	}
 	sh.mu.Unlock()
 	close(f.done)

@@ -58,29 +58,6 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 }
 
-func TestGenerationBump(t *testing.T) {
-	l := New(1 << 20)
-	lay := NewLayer[int](l, "gen", func(int) int64 { return 8 })
-	lay.Put("x", 42)
-	if _, ok := lay.Get("x"); !ok {
-		t.Fatal("want hit before bump")
-	}
-	l.Bump()
-	if _, ok := lay.Get("x"); ok {
-		t.Fatal("stale entry served after Bump")
-	}
-	st := lay.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1 (stale discard)", st.Evictions)
-	}
-	// Re-populate under the new generation.
-	lay.Put("x", 43)
-	v, ok := lay.Get("x")
-	if !ok || v != 43 {
-		t.Fatalf("got %d ok=%v after repopulate, want 43", v, ok)
-	}
-}
-
 func TestGetOrComputeCoalescing(t *testing.T) {
 	l := New(1 << 20)
 	lay := NewLayer[int](l, "sf", func(int) int64 { return 8 })
@@ -163,7 +140,6 @@ func TestNilLayerAndNilLRU(t *testing.T) {
 		t.Fatal("NewLayer over nil LRU should be nil")
 	}
 	var lru *LRU
-	lru.Bump() // must not panic
 	if lru.Len() != 0 || lru.Bytes() != 0 {
 		t.Fatal("nil LRU reports non-zero size")
 	}
@@ -217,9 +193,6 @@ func TestConcurrentMixedAccess(t *testing.T) {
 					lay.Get(k)
 				default:
 					lay.Put(k, i)
-				}
-				if i%100 == 0 && g == 0 {
-					l.Bump()
 				}
 			}
 		}()

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"unify/internal/cache"
 	"unify/internal/embedding"
 	"unify/internal/vector"
 	"unify/internal/views"
@@ -33,8 +32,8 @@ type Store struct {
 
 	// Incremental-ingestion state: the construction options (so AddDocs
 	// and UpdateDoc reindex exactly as New would), per-document content
-	// hashes, and the corpus generation — bumped on every mutation and
-	// threaded into every cache namespace key so nothing stale survives.
+	// hashes, and the corpus generation — bumped on every mutation so
+	// state derived from the corpus can be keyed by it (see Generation).
 	opts       options
 	hashes     map[int]uint64
 	generation atomic.Uint64
@@ -45,14 +44,6 @@ type Store struct {
 	// Sentence-level retrieval structures for RAG-style access.
 	sentences []Sentence
 	sentIndex *vector.Flat
-
-	// Query-text caching (see AttachCache): repeated predicates skip
-	// re-embedding and the O(N·dim) linear distance scan.
-	queryVecs *cache.Layer[[]float32]
-	distMaps  *cache.Layer[map[int]float64]
-	// distScans counts full linear distance scans actually executed
-	// (cache misses included, hits excluded).
-	distScans atomic.Int64
 }
 
 // Sentence is one retrievable sentence with its source document.
@@ -194,8 +185,8 @@ func (s *Store) UpdateDoc(d Document) error {
 
 // Generation reports how many times the corpus has been mutated since
 // construction (0 for a static corpus, persisted across Save/Load).
-// Every plan/selectivity/SCE cache key embeds it, so a mutation
-// invalidates all derived state at once.
+// The optimizer embeds it in every plan and selectivity cache key, so a
+// mutation invalidates all derived state at once.
 func (s *Store) Generation() uint64 { return s.generation.Load() }
 
 // ContentHash returns the live content hash of a document, the
@@ -205,31 +196,8 @@ func (s *Store) ContentHash(id int) (uint64, bool) {
 	return h, ok
 }
 
-// AttachCache routes query embeddings and distance maps through the
-// shared cache, so the optimizer's many candidate lowerings of one
-// predicate (and repeated queries) stop paying O(N·dim) per probe. Safe
-// to skip: a nil cache leaves the store uncached.
-func (s *Store) AttachCache(c *cache.LRU) {
-	s.queryVecs = cache.NewLayer[[]float32](c, "embed", func(v []float32) int64 {
-		return int64(len(v)) * 4
-	})
-	s.distMaps = cache.NewLayer[map[int]float64](c, "distance", func(m map[int]float64) int64 {
-		return int64(len(m))*12 + 48
-	})
-}
-
-// DistanceScans reports how many full linear distance scans ran (i.e.
-// distance-map cache misses plus uncached calls).
-func (s *Store) DistanceScans() int64 { return s.distScans.Load() }
-
-// embed returns the query embedding, cached when a cache is attached.
-// Cached vectors are shared: callers must not mutate them.
-func (s *Store) embed(query string) []float32 {
-	v, _, _ := s.queryVecs.GetOrCompute(query, func() ([]float32, error) {
-		return s.embedder.Embed(query), nil
-	})
-	return v
-}
+// embed returns the query embedding.
+func (s *Store) embed(query string) []float32 { return s.embedder.Embed(query) }
 
 // Embedder exposes the store's embedding model.
 func (s *Store) Embedder() *embedding.Embedder { return s.embedder }
@@ -272,24 +240,9 @@ func (s *Store) SearchDocsExact(query string, k int) []vector.Result {
 }
 
 // Distances returns cosine distances from the query text to every
-// document, keyed by document id (used by cardinality estimation). The
-// returned map is shared when a cache is attached: treat it as read-only.
-// The cache key embeds the corpus generation — a distance map enumerates
-// every document, so one computed before an ingest must never be reused
-// after it. (Query EMBEDDINGS stay keyed by text alone: embedding is a
-// pure function of the text and survives corpus mutations.) Generation
-// zero keeps the bare-text key so static corpora — and the byte-pinned
-// seed goldens, cache accounting included — are untouched.
+// document, keyed by document id (used by cardinality estimation).
 func (s *Store) Distances(query string) map[int]float64 {
-	key := query
-	if g := s.generation.Load(); g != 0 {
-		key = fmt.Sprintf("g%d|%s", g, query)
-	}
-	m, _, _ := s.distMaps.GetOrCompute(key, func() (map[int]float64, error) {
-		s.distScans.Add(1)
-		return s.flat.Distances(s.embed(query)), nil
-	})
-	return m
+	return s.flat.Distances(s.embed(query))
 }
 
 // SearchSentences returns the k nearest sentences to the query text

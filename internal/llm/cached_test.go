@@ -79,13 +79,13 @@ func TestCachedVsSimAccounting(t *testing.T) {
 			}
 		}
 	}
-	calls, unique := sim.Stats()
+	calls, _ := sim.Stats()
 	st := c.Stats()
 	if uint64(calls) != st.Misses {
 		t.Fatalf("sim calls %d != layer misses %d", calls, st.Misses)
 	}
-	if unique != 2 {
-		t.Fatalf("sim unique = %d, want 2 distinct prompts", unique)
+	if calls != 2 {
+		t.Fatalf("sim calls = %d, want 2 distinct prompts", calls)
 	}
 	if st.Hits != 7 {
 		t.Fatalf("layer hits = %d, want 7 (9 calls - 2 misses)", st.Hits)

@@ -188,17 +188,25 @@ func TestGenerateOverContext(t *testing.T) {
 	}
 }
 
+// The Sim keeps no memo (the Cached layer above it does): a repeated
+// prompt is answered again, identically, and both calls are counted.
 func TestMemoizationAndDeterminism(t *testing.T) {
 	s := testSim()
 	prompt := BuildPrompt("filter_doc", map[string]string{"condition": "related to injury", "doc": sampleDoc})
-	r1, _ := s.Complete(context.Background(), prompt)
-	r2, _ := s.Complete(context.Background(), prompt)
-	if r1.Text != r2.Text || r1.Dur != r2.Dur {
-		t.Error("identical prompts must yield identical responses")
+	r1, err1 := s.Complete(context.Background(), prompt)
+	r2, err2 := s.Complete(context.Background(), prompt)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("errors: %v, %v", err1, err2)
 	}
-	calls, unique := s.Stats()
-	if calls != 2 || unique != 1 {
-		t.Errorf("stats = %d calls, %d unique", calls, unique)
+	if r1 != r2 {
+		t.Errorf("identical prompts must yield identical responses: %+v vs %+v", r1, r2)
+	}
+	if _, err := s.Complete(context.Background(), "not a prompt"); err == nil {
+		t.Fatal("malformed prompt answered")
+	}
+	calls, answered := s.Stats()
+	if calls != 3 || answered != 2 {
+		t.Errorf("stats = %d calls, %d answered, want 3 and 2", calls, answered)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync"
+	"sync/atomic"
 )
 
 // SimConfig controls the simulated model's speed and imperfection. Noise
@@ -57,18 +57,15 @@ func DefaultSimConfig() SimConfig {
 // Sim is the deterministic simulated language model. It dispatches on the
 // prompt's #TASK directive and answers using only the text carried in the
 // prompt plus fixed lexicon knowledge — the same information a real model
-// would see. Identical prompts return identical responses (responses are
-// memoized, which also mirrors inference caches).
+// would see. A response is a pure function of (config, prompt), so
+// identical prompts return identical responses; remembering them is the
+// job of the cache layer above (Cached), not of the model.
 type Sim struct {
 	cfg      SimConfig
 	handlers map[string]func(*Sim, map[string]string) (string, error)
 
-	mu   sync.RWMutex
-	memo map[string]Response
-
-	statsMu sync.Mutex
-	nCalls  int
-	nUnique int
+	nCalls    atomic.Int64
+	nAnswered atomic.Int64
 }
 
 // NewSim returns a simulated model with the given configuration.
@@ -76,19 +73,17 @@ func NewSim(cfg SimConfig) *Sim {
 	if cfg.Profile.PerOutToken == 0 {
 		cfg.Profile = WorkerProfile()
 	}
-	s := &Sim{cfg: cfg, memo: make(map[string]Response)}
-	s.handlers = handlerTable()
-	return s
+	return &Sim{cfg: cfg, handlers: handlerTable()}
 }
 
 // Profile implements Client.
 func (s *Sim) Profile() Profile { return s.cfg.Profile }
 
-// Stats reports total and unique (non-memoized) call counts.
-func (s *Sim) Stats() (calls, unique int) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.nCalls, s.nUnique
+// Stats reports how many prompts were received and how many of those
+// were answered (the rest failed: malformed prompt, unknown task, or a
+// handler error).
+func (s *Sim) Stats() (calls, answered int) {
+	return int(s.nCalls.Load()), int(s.nAnswered.Load())
 }
 
 // Complete implements Client.
@@ -96,17 +91,7 @@ func (s *Sim) Complete(ctx context.Context, prompt string) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	s.statsMu.Lock()
-	s.nCalls++
-	s.statsMu.Unlock()
-
-	s.mu.RLock()
-	if resp, ok := s.memo[prompt]; ok {
-		s.mu.RUnlock()
-		return resp, nil
-	}
-	s.mu.RUnlock()
-
+	s.nCalls.Add(1)
 	task, fields, ok := ParsePrompt(prompt)
 	if !ok {
 		return Response{}, ErrMalformed
@@ -121,19 +106,13 @@ func (s *Sim) Complete(ctx context.Context, prompt string) (Response, error) {
 	}
 	out := CountTokens(text)
 	in := CountTokens(prompt)
-	resp := Response{
+	s.nAnswered.Add(1)
+	return Response{
 		Text:      text,
 		InTokens:  in,
 		OutTokens: out,
 		Dur:       s.cfg.Profile.DurFor(in, out),
-	}
-	s.mu.Lock()
-	s.memo[prompt] = resp
-	s.mu.Unlock()
-	s.statsMu.Lock()
-	s.nUnique++
-	s.statsMu.Unlock()
-	return resp, nil
+	}, nil
 }
 
 // chance returns a deterministic pseudo-random draw in [0,1) keyed by the

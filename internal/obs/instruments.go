@@ -31,8 +31,7 @@ type Metrics struct {
 	CacheBytes     Gauge   // resident bytes of the shared cache
 	CacheEntries   Gauge   // resident entries of the shared cache
 
-	SimCalls  Gauge // by model: calls that reached the simulated backend
-	SimUnique Gauge // by model: distinct prompts seen by the backend
+	SimCalls Gauge // by model: calls that reached the simulated backend
 
 	PlanFallbacks   Counter
 	PlanAdjustments Counter
@@ -140,8 +139,6 @@ func NewMetrics() *Metrics {
 		"Resident entry count of the shared cache.")
 	m.SimCalls = r.GaugeVec("unify_sim_calls",
 		"Prompts that reached the simulated model backend, by model.", "model")
-	m.SimUnique = r.GaugeVec("unify_sim_unique_prompts",
-		"Distinct prompts seen by the simulated model backend, by model.", "model")
 	m.PlanFallbacks = r.Counter("unify_plan_fallback_total",
 		"Queries answered via the Generate (RAG) fallback plan.")
 	m.PlanAdjustments = r.Counter("unify_exec_adjusted_total",
@@ -321,13 +318,12 @@ func (m *Metrics) RecordCacheSize(bytes int64, entries int) {
 	m.CacheEntries.Set(float64(entries))
 }
 
-// RecordSimStats publishes a simulated backend's memo statistics.
-func (m *Metrics) RecordSimStats(model string, calls, unique int) {
+// RecordSimStats publishes how many prompts reached a simulated backend.
+func (m *Metrics) RecordSimStats(model string, calls int) {
 	if m == nil {
 		return
 	}
 	m.SimCalls.SetL(model, float64(calls))
-	m.SimUnique.SetL(model, float64(unique))
 }
 
 // RecordFault charges one injected fault to the per-kind counter.

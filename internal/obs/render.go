@@ -9,12 +9,15 @@ import (
 // SpanJSON is the wire form of a span tree, returned by the server's
 // EXPLAIN ANALYZE variant (/v1/query?analyze=1).
 type SpanJSON struct {
-	Name      string            `json:"name"`
-	Kind      string            `json:"kind,omitempty"`
-	WallMS    float64           `json:"wall_ms"`
-	VTimeSecs float64           `json:"vtime_secs"`
-	Attrs     map[string]string `json:"attrs,omitempty"`
-	Children  []*SpanJSON       `json:"children,omitempty"`
+	Name      string  `json:"name"`
+	Kind      string  `json:"kind,omitempty"`
+	WallMS    float64 `json:"wall_ms"`
+	VTimeSecs float64 `json:"vtime_secs"`
+	// Open marks a span that was never ended when the tree was
+	// converted; its wall_ms is only the time elapsed until then.
+	Open     bool              `json:"open,omitempty"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
+	Children []*SpanJSON       `json:"children,omitempty"`
 }
 
 // JSON converts the span tree into its wire form (nil for a nil span).
@@ -22,20 +25,29 @@ func (s *Span) JSON() *SpanJSON {
 	if s == nil {
 		return nil
 	}
+	out := s.jsonSelf()
+	for _, c := range s.Children() {
+		out.Children = append(out.Children, c.JSON())
+	}
+	return out
+}
+
+// jsonSelf converts one span, without its children.
+func (s *Span) jsonSelf() *SpanJSON {
 	out := &SpanJSON{
 		Name:      s.Name,
 		Kind:      s.Kind,
 		WallMS:    float64(s.WallDur()) / float64(time.Millisecond),
 		VTimeSecs: s.VDur().Seconds(),
 	}
+	s.mu.Lock()
+	out.Open = s.end.IsZero()
+	s.mu.Unlock()
 	if attrs := s.Attrs(); len(attrs) > 0 {
 		out.Attrs = make(map[string]string, len(attrs))
 		for _, a := range attrs {
 			out.Attrs[a.Key] = a.Value
 		}
-	}
-	for _, c := range s.Children() {
-		out.Children = append(out.Children, c.JSON())
 	}
 	return out
 }

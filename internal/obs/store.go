@@ -234,18 +234,7 @@ func boundedJSON(root *Span, budget int) (out *SpanJSON, kept int, truncated boo
 	}
 	var build func(s *Span) *SpanJSON
 	build = func(s *Span) *SpanJSON {
-		j := &SpanJSON{
-			Name:      s.Name,
-			Kind:      s.Kind,
-			WallMS:    float64(s.WallDur()) / float64(time.Millisecond),
-			VTimeSecs: s.VDur().Seconds(),
-		}
-		if attrs := s.Attrs(); len(attrs) > 0 {
-			j.Attrs = make(map[string]string, len(attrs))
-			for _, a := range attrs {
-				j.Attrs[a.Key] = a.Value
-			}
-		}
+		j := s.jsonSelf()
 		for _, c := range s.Children() {
 			if include[c] {
 				j.Children = append(j.Children, build(c))

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -212,12 +213,16 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 	bestCost := time.Duration(math.MaxInt64)
 	for i, logical := range plans {
 		plan := logical.Clone()
+		// The deferred Ends only matter on the error returns below (End is
+		// idempotent); a failed optimization must not retain open spans.
 		cspan := ospan.StartChild(fmt.Sprintf("candidate[%d]", i), obs.KindPhase)
+		defer cspan.End()
 		cspan.SetInt("nodes", len(plan.Nodes))
 		if o.Mode == CostBased || o.Mode == GroundTruth {
 			// Cardinality estimation (SCE) drives the filter reordering;
 			// its LLM judgments are the optimizer's only model cost.
 			espan := cspan.StartChild("estimate_cardinality", obs.KindPhase)
+			defer espan.End()
 			durBefore, callsBefore := stats.Duration, len(stats.Calls)
 			if err := o.reorderFilters(ctx, plan, stats); err != nil {
 				return nil, nil, err
@@ -227,6 +232,7 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 			espan.End()
 		}
 		lspan := cspan.StartChild("lower_physical", obs.KindPhase)
+		defer lspan.End()
 		durBefore, callsBefore := stats.Duration, len(stats.Calls)
 		if err := o.selectPhysical(ctx, plan, stats); err != nil {
 			return nil, nil, err
@@ -260,6 +266,15 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 	return best, stats, nil
 }
 
+// knobs is the common prefix of every optimizer cache key: each setting
+// that changes an optimization outcome, plus the corpus size and
+// generation. It is the only place the corpus generation enters a cache
+// key — a mutation bumps it, so every plan and selectivity derived from
+// the old corpus becomes unreachable at once and ages out of the LRU.
+func (o *Optimizer) knobs() string {
+	return fmt.Sprintf("m%d|o%d|s%d|c%d|f%g|n%d|g%d", o.Mode, o.Objective, o.Slots, o.machines(), o.SampleFrac, o.Store.Len(), o.Store.Generation())
+}
+
 // planSignature produces a normalized, content-addressed key over the
 // candidate logical-plan set plus every optimizer knob that changes the
 // outcome. Node ids are renumbered to topological positions so two
@@ -267,7 +282,7 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 // the query text (its pseudo-random picks depend on it).
 func (o *Optimizer) planSignature(plans []*core.Plan) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "m%d|o%d|s%d|c%d|f%g|n%d|g%d", o.Mode, o.Objective, o.Slots, o.machines(), o.SampleFrac, o.Store.Len(), o.Store.Generation())
+	io.WriteString(h, o.knobs())
 	if o.Mode == Rule {
 		fmt.Fprintf(h, "|seed%d", o.Seed)
 		if len(plans) > 0 {
@@ -316,7 +331,7 @@ func (o *Optimizer) planSignature(plans []*core.Plan) string {
 // plan, and byte-equal parameterized queries always collide.
 func (o *Optimizer) ParsedSignature(canonical string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "usql|m%d|o%d|s%d|c%d|f%g|n%d|g%d", o.Mode, o.Objective, o.Slots, o.machines(), o.SampleFrac, o.Store.Len(), o.Store.Generation())
+	io.WriteString(h, "usql|"+o.knobs())
 	if o.Mode == Rule {
 		fmt.Fprintf(h, "|seed%d", o.Seed)
 	}
@@ -373,18 +388,10 @@ func (o *Optimizer) Reoptimize(ctx context.Context, plan *core.Plan, known map[s
 // queries share one estimate, and only the computing caller is charged
 // the estimation's LLM cost (cache hits are free).
 func (o *Optimizer) selectivity(ctx context.Context, condText string, stats *Stats) (float64, error) {
-	// The corpus generation is part of the key: after a mutation the
-	// fraction of matching documents may change, and a stale cached
-	// selectivity would silently miscost every candidate plan. (The
-	// shared LRU's generation bump also evicts these entries, but the
-	// optimizer may run on a private cache — see New — so correctness
-	// cannot rely on the bump alone.) Generation zero keeps the original
-	// key form so static corpora match the byte-pinned seed goldens.
-	key := fmt.Sprintf("m%d|f%g|%s", o.Mode, o.SampleFrac, condText)
-	if g := o.Store.Generation(); g != 0 {
-		key = fmt.Sprintf("m%d|f%g|g%d|%s", o.Mode, o.SampleFrac, g, condText)
-	}
-	sel, _, err := o.sel.GetOrCompute(key, func() (float64, error) {
+	// The corpus generation is part of the key (via knobs): after a
+	// mutation the fraction of matching documents may change, and a stale
+	// cached selectivity would silently miscost every candidate plan.
+	sel, _, err := o.sel.GetOrCompute(o.knobs()+"|"+condText, func() (float64, error) {
 		return o.estimateSelectivity(ctx, condText, stats)
 	})
 	return sel, err

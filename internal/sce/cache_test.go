@@ -1,129 +1,110 @@
-package sce
+package sce_test
+
+// Estimation has no cache of its own: a bucketization is recomputed per
+// Estimate and all reuse happens above it (the optimizer's selectivity
+// layer) or below it (the LLM response layer). These tests pin the two
+// properties the removed sce/distance/embed layers had to preserve.
 
 import (
 	"context"
-	"math"
 	"testing"
 
-	"unify/internal/cache"
+	"unify"
 	"unify/internal/corpus"
 	"unify/internal/docstore"
 	"unify/internal/llm"
+	"unify/internal/sce"
 )
 
-// cachedSetup builds an estimator with the shared cache attached to both
-// the store (distance maps) and the estimator (bucketizations).
-func cachedSetup(t *testing.T, n int) (*Estimator, *cache.LRU) {
+// bareEstimator builds an estimator over a fresh store with nothing
+// cached anywhere, using the System's default worker model.
+func bareEstimator(t *testing.T, docs []docstore.Document) *sce.Estimator {
 	t.Helper()
-	ds, err := corpus.GenerateN("sports", n)
+	store, err := docstore.New("sports", docs, docstore.WithoutSentences())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := docstore.New("sports", ds.Documents(), docstore.WithoutSentences())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cache.New(8 << 20)
-	store.AttachCache(c)
-	cfg := llm.DefaultSimConfig()
-	cfg.FilterNoise = 0
-	est := NewEstimator(store, llm.NewSim(cfg), 8)
-	est.AttachCache(c)
-	return est, c
+	return sce.NewEstimator(store, llm.NewSim(llm.DefaultSimConfig()), 8)
 }
 
-// TestRepeatedEstimateSingleDistanceScan is the regression test for the
-// per-Estimate re-sort: two estimates of the same predicate must trigger
-// exactly one full distance scan and one bucketization.
-func TestRepeatedEstimateSingleDistanceScan(t *testing.T) {
-	est, c := cachedSetup(t, 300)
-	ctx := context.Background()
-	pred := "related to injury"
-
-	e1, _, err := est.Estimate(ctx, Unify, pred, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Store.DistanceScans(); got != 1 {
-		t.Fatalf("after first estimate: %d distance scans, want 1", got)
-	}
-	e2, _, err := est.Estimate(ctx, Unify, pred, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Store.DistanceScans(); got != 1 {
-		t.Fatalf("after repeat estimate: %d distance scans, want 1 (scan must be cached)", got)
-	}
-	if math.Abs(e1-e2) > 1e-9 {
-		t.Fatalf("repeated estimate changed: %v vs %v", e1, e2)
-	}
-	st := c.LayerStats()
-	if st["sce"].Hits == 0 {
-		t.Fatalf("bucketization cache saw no hits: %+v", st["sce"])
-	}
-	if st["distance"].Misses != 1 {
-		t.Fatalf("distance layer misses = %d, want 1", st["distance"].Misses)
-	}
-
-	// A different predicate is a fresh scan.
-	if _, _, err := est.Estimate(ctx, Unify, "related to training", 60); err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Store.DistanceScans(); got != 2 {
-		t.Fatalf("distinct predicate: %d distance scans, want 2", got)
-	}
-}
-
-// TestCachedBucketizeMatchesUncached verifies the cache changes results
-// in no way: cached and uncached estimators agree call-for-call.
+// TestCachedBucketizeMatchesUncached verifies the System's cache stack
+// changes estimates in no way: the estimator of a default (cached) System
+// and a bare NewEstimator agree call-for-call, repeats included.
 func TestCachedBucketizeMatchesUncached(t *testing.T) {
-	cached, _ := cachedSetup(t, 300)
 	ds, err := corpus.GenerateN("sports", 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := docstore.New("sports", ds.Documents(), docstore.WithoutSentences())
+	sys, err := unify.New(unify.WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := llm.DefaultSimConfig()
-	cfg.FilterNoise = 0
-	plain := NewEstimator(store, llm.NewSim(cfg), 8)
+	plain := bareEstimator(t, ds.Documents())
 
 	ctx := context.Background()
 	for _, pred := range []string{"related to injury", "related to injury", "about a transfer"} {
-		a, _, err := cached.Estimate(ctx, Unify, pred, 80)
+		a, aCalls, err := sys.Estimator.Estimate(ctx, sce.Unify, pred, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := plain.Estimate(ctx, Unify, pred, 80)
+		b, bCalls, err := plain.Estimate(ctx, sce.Unify, pred, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("pred %q: cached estimate %v != uncached %v", pred, a, b)
+		if a != b || len(aCalls) != len(bCalls) {
+			t.Fatalf("pred %q: cached estimate %v (%d calls) != uncached %v (%d calls)",
+				pred, a, len(aCalls), b, len(bCalls))
 		}
 	}
 }
 
-// TestTrainUsesBucketCache ensures Train also flows through the cache
-// (it bucketizes every historical predicate).
-func TestTrainUsesBucketCache(t *testing.T) {
-	est, c := cachedSetup(t, 200)
+// TestEstimateAfterIngestEnumeratesMutatedCorpus estimates a predicate,
+// mutates the corpus through both ingest paths (AddDocs and UpdateDoc),
+// and requires the next estimate of the same predicate to sample the
+// mutated corpus: it judges every live document once and equals a bare
+// estimator over a cold build of the final collection.
+func TestEstimateAfterIngestEnumeratesMutatedCorpus(t *testing.T) {
+	full, err := corpus.GenerateN("sports", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := corpus.GenerateN("sports", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := unify.New(unify.WithCorpus(base))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	preds := []string{"related to injury", "related to training"}
-	if err := est.Train(ctx, preds, 8); err != nil {
+	const pred = "related to injury"
+	if _, calls, err := sys.Estimator.Estimate(ctx, sce.Uniform, pred, 300); err != nil || len(calls) != 300 {
+		t.Fatalf("pre-ingest estimate judged %d docs (err %v), want 300", len(calls), err)
+	}
+
+	final := append([]docstore.Document(nil), full.Documents()...)
+	updated := final[0]
+	updated.Text = final[399].Text
+	final[0] = updated
+	if _, err := sys.Ingest(final[300:], []docstore.Document{updated}); err != nil {
 		t.Fatal(err)
 	}
-	// Estimating a trained predicate reuses its bucketization.
-	scans := est.Store.DistanceScans()
-	if _, _, err := est.Estimate(ctx, Unify, preds[0], 40); err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Store.DistanceScans(); got != scans {
-		t.Fatalf("estimate after train rescanned: %d -> %d scans", scans, got)
-	}
-	if c.LayerStats()["sce"].Hits == 0 {
-		t.Fatal("no bucketization reuse after train")
+
+	plain := bareEstimator(t, final)
+	for _, m := range []sce.Method{sce.Uniform, sce.Unify} {
+		got, calls, err := sys.Estimator.Estimate(ctx, m, pred, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := plain.Estimate(ctx, m, pred, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: post-ingest estimate %v != cold-build estimate %v", m, got, want)
+		}
+		if m == sce.Uniform && len(calls) != 400 {
+			t.Fatalf("post-ingest uniform estimate judged %d docs, want all 400", len(calls))
+		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"unify/internal/cache"
 	"unify/internal/docstore"
 	"unify/internal/llm"
 )
@@ -49,10 +48,6 @@ type Estimator struct {
 	// f is the learned piecewise importance function (Σf = 1). Before
 	// Train it is uniform.
 	f []float64
-
-	// buckets caches bucketizations per predicate (see AttachCache), so
-	// repeated estimates of one predicate sort the corpus once.
-	buckets *cache.Layer[[][]int]
 }
 
 // NewEstimator returns an estimator with a uniform importance function.
@@ -67,46 +62,16 @@ func NewEstimator(store *docstore.Store, client llm.Client, buckets int) *Estima
 	return &Estimator{Store: store, Client: client, Buckets: buckets, Seed: 7, f: f}
 }
 
-// AttachCache routes bucketizations through the shared cache, keyed by
-// predicate: the per-Estimate full sort of all document ids runs once per
-// distinct predicate. A nil cache leaves the estimator uncached.
-func (e *Estimator) AttachCache(c *cache.LRU) {
-	e.buckets = cache.NewLayer[[][]int](c, "sce", func(b [][]int) int64 {
-		var n int64
-		for _, ids := range b {
-			n += int64(len(ids)) * 8
-		}
-		return n + int64(len(b))*24
-	})
-}
-
 // Importance returns a copy of the current importance function.
 func (e *Estimator) Importance() []float64 {
 	return append([]float64(nil), e.f...)
 }
 
 // bucketize sorts all document ids by embedding distance to the predicate
-// and splits them into equal-count buckets (nearest first). With a cache
-// attached (AttachCache), the sort runs once per distinct predicate; the
-// returned buckets are shared and must be treated as read-only.
+// and splits them into equal-count buckets (nearest first): a full
+// distance scan plus an O(N log N) sort per call. Repeated predicates are
+// absorbed above this, by the optimizer's selectivity cache.
 func (e *Estimator) bucketize(pred string) [][]int {
-	// Keyed by corpus generation as well as predicate: a bucketization
-	// enumerates every document id, so reusing one across an ingest
-	// would make SCE sample a corpus that no longer exists. Generation
-	// zero keeps the original key form (static corpora, seed goldens).
-	key := fmt.Sprintf("%d|%s", e.Buckets, pred)
-	if g := e.Store.Generation(); g != 0 {
-		key = fmt.Sprintf("%d|g%d|%s", e.Buckets, g, pred)
-	}
-	b, _, _ := e.buckets.GetOrCompute(key, func() ([][]int, error) {
-		return e.bucketizeScan(pred), nil
-	})
-	return b
-}
-
-// bucketizeScan is the uncached bucketization: a full distance scan plus
-// an O(N log N) sort.
-func (e *Estimator) bucketizeScan(pred string) [][]int {
 	dist := e.Store.Distances(pred)
 	ids := make([]int, 0, len(dist))
 	for id := range dist {

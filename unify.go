@@ -121,10 +121,11 @@ type Config struct {
 	// Sim overrides the simulated model configuration (noise, speed).
 	Sim *llm.SimConfig
 
-	// CacheBytes bounds the shared semantic cache (LLM responses, query
-	// embeddings, distance maps, SCE bucketizations, selectivities,
-	// plans). 0 selects DefaultCacheBytes; a negative value disables the
-	// shared cache entirely.
+	// CacheBytes bounds the shared semantic cache (LLM responses,
+	// selectivities, plans). 0 selects DefaultCacheBytes; a negative
+	// value disables the shared cache — LLM responses are no longer
+	// cached, while the optimizer falls back to its private 4 MiB
+	// plan+selectivity LRU (see optimizer.New).
 	CacheBytes int64
 
 	// FaultPlan, when non-nil, injects seeded deterministic faults into
@@ -398,8 +399,8 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	metrics := obs.NewMetrics()
 	metrics.SetBuildInfo(Version)
 	// The shared semantic cache: one byte budget across LLM responses,
-	// embeddings, distance maps, bucketizations, selectivities, and
-	// plans, with per-layer counters mirrored into the metrics registry.
+	// selectivities, and plans, with per-layer counters mirrored into the
+	// metrics registry.
 	var shared *cache.LRU
 	if cfg.CacheBytes >= 0 {
 		budget := cfg.CacheBytes
@@ -412,7 +413,6 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 		llmLayer := cache.NewLayer[llm.Response](shared, "llm", llm.ResponseCost)
 		planner = llm.NewCached(planner, llmLayer)
 		worker = llm.NewCached(worker, llmLayer)
-		store.AttachCache(shared)
 	}
 	// Failure harness: the injector sits above the cache (garbage never
 	// poisons cached entries) and below the retry layer, so every logical
@@ -445,10 +445,7 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	opt := optimizer.New(store, est, calib, cfg.Slots)
 	opt.Mode = cfg.Mode
 	opt.Machines = cfg.Machines
-	if shared != nil {
-		est.AttachCache(shared)
-		opt.AttachCache(shared)
-	}
+	opt.AttachCache(shared)
 	s := &System{
 		Config:        cfg,
 		Dataset:       ds,
@@ -834,6 +831,10 @@ func (s *System) query(ctx context.Context, q string, qspan *obs.Span, o QueryOp
 		// The parsed route: deterministic scan/parse/compile straight to
 		// the logical DAG — no planner LLM calls, zero planning vtime.
 		pspan := qspan.StartChild("parse", obs.KindPhase)
+		// Each phase ends its span where the phase finishes; the deferred
+		// End (idempotent) covers the error returns, so a trace retained
+		// with status=error has no open span.
+		defer pspan.End()
 		compiled, canon, err := s.compileUSQL(q)
 		if err != nil {
 			return nil, err
@@ -846,6 +847,7 @@ func (s *System) query(ctx context.Context, q string, qspan *obs.Span, o QueryOp
 		pstats = &core.PlanStats{}
 	} else {
 		pspan := qspan.StartChild("planning", obs.KindPhase)
+		defer pspan.End()
 		var err error
 		plans, pstats, err = s.Planner.GeneratePlans(obs.WithSpan(ctx, pspan), q)
 		if err != nil {
@@ -873,6 +875,7 @@ func (s *System) query(ctx context.Context, q string, qspan *obs.Span, o QueryOp
 	}
 
 	ospan := qspan.StartChild("optimize", obs.KindPhase)
+	defer ospan.End()
 	var (
 		plan   *core.Plan
 		ostats *optimizer.Stats
@@ -896,6 +899,7 @@ func (s *System) query(ctx context.Context, q string, qspan *obs.Span, o QueryOp
 	ospan.End()
 
 	espan := qspan.StartChild("execute", obs.KindPhase)
+	defer espan.End()
 	res, err := executor.Run(obs.WithSpan(ctx, espan), plan)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1143,8 +1147,8 @@ func (s *System) recordQueryMetrics(ans *Answer) {
 	m.RecordCacheSize(s.Cache.Bytes(), s.Cache.Len())
 	for _, cli := range []llm.Client{s.PlannerClient, s.WorkerClient} {
 		if sim := llm.SimOf(cli); sim != nil {
-			calls, unique := sim.Stats()
-			m.RecordSimStats(sim.Profile().Name, calls, unique)
+			calls, _ := sim.Stats()
+			m.RecordSimStats(sim.Profile().Name, calls)
 		}
 	}
 }
