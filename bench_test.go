@@ -345,21 +345,38 @@ func BenchmarkQueryReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkSimLLM measures a single simulated model invocation (memoized
-// and cold paths).
-func BenchmarkSimLLM(b *testing.B) {
-	cfg := llm.DefaultSimConfig()
-	sim := llm.NewSim(cfg)
-	ds, _ := corpus.GenerateN("sports", 10)
-	prompt := llm.BuildPrompt("filter_doc", map[string]string{
-		"condition": "related to injury",
-		"doc":       ds.Docs[0].Text,
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Complete(context.Background(), prompt); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSimComplete measures one simulated model invocation per
+// operator prompt family, at the executor's batch size of 16 documents
+// (filter_doc carries one). There is no memo below the cache layer, so
+// every iteration is full inference; run with -benchmem.
+func BenchmarkSimComplete(b *testing.B) {
+	ds, err := corpus.GenerateN("sports", 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	texts := make([]string, len(ds.Docs))
+	for i, d := range ds.Docs {
+		texts[i] = d.Text
+	}
+	docs := llm.JoinDocs(texts)
+	prompts := []struct{ name, prompt string }{
+		{"filter_doc", llm.BuildPrompt("filter_doc", map[string]string{"condition": "related to injury", "doc": texts[0]})},
+		{"filter_batch", llm.BuildPrompt("filter_batch", map[string]string{"condition": "related to injury", "docs": docs})},
+		{"classify_batch", llm.BuildPrompt("classify_batch", map[string]string{"class": "topic", "docs": docs})},
+		{"extract_batch", llm.BuildPrompt("extract_batch", map[string]string{"target": "sport", "docs": docs})},
+	}
+	sim := llm.NewSim(llm.DefaultSimConfig())
+	ctx := context.Background()
+	for _, p := range prompts {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(len(p.prompt)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Complete(ctx, p.prompt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -225,7 +225,7 @@ func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, err
 	if c.plan == nil || len(c.plan.Rules) == 0 || !c.enabled() {
 		return c.inner.Complete(ctx, prompt)
 	}
-	task, _, _ := llm.ParsePrompt(prompt)
+	task := llm.TaskOf(prompt)
 	occ := c.nextOcc(prompt)
 	for ri := range c.plan.Rules {
 		r := &c.plan.Rules[ri]

@@ -11,6 +11,8 @@
 package lexicon
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -40,7 +42,7 @@ var TeamSports = map[string]bool{
 	"volleyball": true, "cricket": true, "rugby": true, "hockey": true,
 }
 
-var concepts = []Concept{
+var concepts = [...]Concept{
 	// Sports (class "sport").
 	{"football", []string{"football", "soccer", "goal", "goalkeeper", "midfielder", "penalty", "offside", "striker"}, "sport"},
 	{"basketball", []string{"basketball", "hoop", "dribble", "dunk", "rebound", "layup", "backboard"}, "sport"},
@@ -131,83 +133,179 @@ var concepts = []Concept{
 	{"economics", []string{"economics", "market", "inflation", "trade", "currency", "investment", "supply"}, "wikicat"},
 }
 
-var byName = func() map[string]Concept {
-	m := make(map[string]Concept, len(concepts))
-	for _, c := range concepts {
-		m[c.Name] = c
+// The vocabulary is compiled once, at package init, into the tables that
+// let Scan read a text a single time.
+var (
+	// index maps a canonical concept name to its position in concepts.
+	index = make(map[string]int, len(concepts))
+	// classMembers lists each class's concepts sorted by name, the order
+	// in which ties break.
+	classMembers = make(map[string][]int)
+	// stemIndex maps the stem of an indicator word to every (concept,
+	// word) it belongs to: a list, because a stem such as "goal" or
+	// "baseline" serves two concepts.
+	stemIndex = make(map[string][]wordRef)
+	// nameWords[c] lists the words of concept c that are themselves
+	// concept names, each with the concept it names (see Hits.Evoked).
+	nameWords [len(concepts)][]wordRef
+)
+
+// wordRef is one indicator word's bit in a concept's hit mask.
+type wordRef struct {
+	concept int
+	bit     uint16
+}
+
+func init() {
+	for ci, c := range concepts {
+		index[c.Name] = ci
+		classMembers[c.Class] = append(classMembers[c.Class], ci)
 	}
-	return m
-}()
+	for _, members := range classMembers {
+		sort.Slice(members, func(a, b int) bool { return concepts[members[a]].Name < concepts[members[b]].Name })
+	}
+	for ci, c := range concepts {
+		if len(c.Words) > 16 {
+			panic(fmt.Sprintf("lexicon: concept %s has %d indicator words, Hits holds 16", c.Name, len(c.Words)))
+		}
+		for wi, w := range c.Words {
+			bit := uint16(1) << wi
+			stem := tokenizer.Stem(strings.ToLower(w))
+			stemIndex[stem] = append(stemIndex[stem], wordRef{ci, bit})
+			if named, ok := lookup(w); ok {
+				nameWords[ci] = append(nameWords[ci], wordRef{named, bit})
+			}
+		}
+	}
+}
 
 // Lookup returns the concept with the given canonical name.
 func Lookup(name string) (Concept, bool) {
-	c, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-	return c, ok
+	ci, ok := lookup(name)
+	if !ok {
+		return Concept{}, false
+	}
+	return concepts[ci], true
+}
+
+func lookup(name string) (int, bool) {
+	ci, ok := index[strings.ToLower(strings.TrimSpace(name))]
+	return ci, ok
 }
 
 // Names returns the canonical names of all concepts in a class, sorted.
 func Names(class string) []string {
-	var out []string
-	for _, c := range concepts {
-		if c.Class == class {
-			out = append(out, c.Name)
-		}
+	members := classMembers[class]
+	if len(members) == 0 {
+		return nil
 	}
-	sort.Strings(out)
+	out := make([]string, len(members))
+	for i, ci := range members {
+		out[i] = concepts[ci].Name
+	}
 	return out
 }
 
 // All returns every concept (copy of the registry order).
 func All() []Concept {
 	out := make([]Concept, len(concepts))
-	copy(out, concepts)
+	copy(out, concepts[:])
 	return out
 }
 
-// Match reports whether text evokes the named concept, i.e. whether the
-// text contains at least minHits of the concept's indicator words. The
-// simulated LLM uses Match(text, name, 1) as its semantic judgment; the
-// corpus generator guarantees documents about a concept contain several of
-// its words and documents about other concepts contain none.
-func Match(text, name string, minHits int) bool {
-	c, ok := Lookup(name)
+// Hits is the result of reading a text once against the whole vocabulary:
+// for every concept, the set of its indicator words that occur in the
+// text, as a bitmask over Concept.Words. It is a small value (two bytes
+// per concept) that holds nothing of the text.
+type Hits [len(concepts)]uint16
+
+// Scan reads text once and reports which indicator words it contains.
+//
+// An indicator word w hits when Stem(lower(w)) is among the text's terms,
+// {Stem(t) : t in Tokenize(text), t not a stop word}. Every judgment in
+// this package is a function of that one set: a concept's hit count is the
+// number of its distinct indicator words that hit, however often each
+// occurs in the text.
+func Scan(text string) Hits {
+	var h Hits
+	it := tokenizer.NewTermIter(text)
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		for _, ref := range stemIndex[string(t)] {
+			h[ref.concept] |= ref.bit
+		}
+	}
+	return h
+}
+
+// Count returns how many of the named concept's indicator words hit; zero
+// for an unknown concept.
+func (h *Hits) Count(name string) int {
+	ci, ok := lookup(name)
 	if !ok {
-		// Unknown concept: fall back to matching the bare word itself.
+		return 0
+	}
+	return bits.OnesCount16(h[ci])
+}
+
+// Best returns the concept of the given class with the most hits, or "" if
+// none hit. Ties break alphabetically for determinism.
+func (h *Hits) Best(class string) string {
+	best, bestHits := "", 0
+	for _, ci := range classMembers[class] {
+		if n := bits.OnesCount16(h[ci]); n > bestHits {
+			best, bestHits = concepts[ci].Name, n
+		}
+	}
+	return best
+}
+
+// Evoked returns how many of the named concept's indicator words w satisfy
+// Match(text, w, 1) for the scanned text. It differs from Count only for
+// an indicator word that is itself a concept name ("penalty" under
+// football, "career" under biography, a concept's own name): such a word
+// counts when any word of the concept it names hit. Zero for an unknown
+// concept.
+func (h *Hits) Evoked(name string) int {
+	ci, ok := lookup(name)
+	if !ok {
+		return 0
+	}
+	mask, n := h[ci], 0
+	for _, nw := range nameWords[ci] {
+		mask &^= nw.bit
+		if h[nw.concept] != 0 {
+			n++
+		}
+	}
+	return n + bits.OnesCount16(mask)
+}
+
+// Match reports whether text evokes the named concept, i.e. whether at
+// least minHits of the concept's distinct indicator words hit (see Scan;
+// minHits below 1 means 1). An unknown concept name falls back to the
+// bare-word test: the name itself must be a term of the text. The
+// simulated LLM's semantic yes/no judgment is Match(text, name, 2)
+// (nlcond.EvalSemantic); the corpus generator guarantees documents about
+// a concept contain several of its words and documents about other
+// concepts at most a stray one.
+func Match(text, name string, minHits int) bool {
+	ci, ok := lookup(name)
+	if !ok {
 		return tokenizer.ContainsTerm(text, name)
 	}
 	if minHits <= 0 {
 		minHits = 1
 	}
-	hits := 0
-	for _, w := range c.Words {
-		if tokenizer.ContainsTerm(text, w) {
-			hits++
-			if hits >= minHits {
-				return true
-			}
-		}
-	}
-	return false
+	h := Scan(text)
+	return bits.OnesCount16(h[ci]) >= minHits
 }
 
 // BestConcept returns the concept of the given class with the most
 // indicator-word hits in text, or "" if none hit. Ties break
 // alphabetically for determinism. This powers semantic GroupBy/Classify.
 func BestConcept(text, class string) string {
-	best, bestHits := "", 0
-	for _, name := range Names(class) {
-		c := byName[name]
-		hits := 0
-		for _, w := range c.Words {
-			if tokenizer.ContainsTerm(text, w) {
-				hits++
-			}
-		}
-		if hits > bestHits {
-			best, bestHits = name, hits
-		}
-	}
-	return best
+	h := Scan(text)
+	return h.Best(class)
 }
 
 // IsBallSport reports whether the named sport involves a ball.

@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzParsePrompt checks the prompt wire format: parsing arbitrary bytes
-// must never panic, and every successfully parsed prompt must round-trip
-// through BuildPrompt unchanged.
+// must never panic, ParsePrompt, TaskOf and CountTokens must agree with
+// their split-based references (reference_test.go), and every successfully
+// parsed prompt must round-trip through BuildPrompt unchanged.
 func FuzzParsePrompt(f *testing.F) {
 	f.Add(BuildPrompt("filter_doc", map[string]string{"condition": "related to injury", "doc": "text"}))
 	f.Add(BuildPrompt("generate", map[string]string{"q": "multi\nline\nvalue"}))
@@ -19,7 +20,11 @@ func FuzzParsePrompt(f *testing.F) {
 	f.Add("plain text")
 	f.Add("")
 	f.Add("#FIELD a\nvalue\n#TASK late")
+	for _, p := range trickyPrompts {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, prompt string) {
+		checkPromptAgainstReference(t, prompt)
 		task, fields, ok := ParsePrompt(prompt)
 		if !ok {
 			return
@@ -161,6 +166,28 @@ func FuzzSimComplete(f *testing.F) {
 		var te *TaskError
 		if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrUnknownTask) && !errors.As(err, &te) {
 			t.Fatalf("untyped sim error: %T %v", err, err)
+		}
+	})
+}
+
+// FuzzSimDraws holds the allocation-free chance and pick to hash/fnv on
+// arbitrary seeds and keys (reference_test.go): the noise model's draws
+// decide which judgments flip, so one differing bit moves answers.
+func FuzzSimDraws(f *testing.F) {
+	f.Add(uint64(1), "filter", "related to injury", "Title: Knee pain", 0.015, 7)
+	f.Add(uint64(0), "", "", "", 1.0, 1)
+	f.Add(^uint64(0), "label", "sport\x00", "\xff\x01", 0.5, 1<<40)
+	f.Fuzz(func(t *testing.T, seed uint64, k1, k2, k3 string, p float64, n int) {
+		cfg := DefaultSimConfig()
+		cfg.Seed = seed
+		s := NewSim(cfg)
+		for _, keys := range [][]string{nil, {k1}, {k1, k2}, {k1, k2, k3}} {
+			if got, want := s.chance(p, keys...), refChance(seed, p, keys...); got != want {
+				t.Fatalf("chance(seed=%d, p=%g, %q) = %v, hash/fnv %v", seed, p, keys, got, want)
+			}
+			if got, want := s.pick(n, keys...), refPick(seed, n, keys...); got != want {
+				t.Fatalf("pick(seed=%d, n=%d, %q) = %d, hash/fnv %d", seed, n, keys, got, want)
+			}
 		}
 	})
 }

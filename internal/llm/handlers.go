@@ -208,14 +208,25 @@ func (s *Sim) handleDepCheck(f map[string]string) (string, error) {
 
 // ---- Operator-side handlers (paper §IV LLM-based implementations) ----
 
-// judgeCondition evaluates a condition against document text, with the
-// per-judgment noise model applied.
-func (s *Sim) judgeCondition(condText, doc string) bool {
+// judgeCond is a filter condition as the model understood it, parsed once
+// per call however many documents the call judges.
+type judgeCond struct {
+	text string // as written in the prompt; keys the noise draw
+	cond nlcond.Cond
+}
+
+func parseJudgeCond(condText string) judgeCond {
 	cond, ok := nlcond.Parse(condText)
 	if !ok {
 		cond = nlcond.Cond{Kind: nlcond.Concept, Concept: nlcond.NormalizeConcept(condText)}
 	}
-	v := cond.EvalSemantic(doc)
+	return judgeCond{text: condText, cond: cond}
+}
+
+// judge evaluates the condition against document text, with the
+// per-judgment noise model applied.
+func (s *Sim) judge(c judgeCond, doc string) bool {
+	v := c.cond.EvalSemantic(doc)
 	// Judgment noise is asymmetric, as with real models on this task:
 	// missing a relevant document (flipping yes->no) is far more common
 	// than hallucinating relevance across thousands of negatives — a
@@ -224,7 +235,7 @@ func (s *Sim) judgeCondition(condText, doc string) bool {
 	if !v {
 		p /= 8
 	}
-	if s.chance(p, "filter", condText, docKey(doc)) {
+	if s.chance(p, "filter", c.text, docKey(doc)) {
 		v = !v
 	}
 	return v
@@ -246,14 +257,15 @@ func yesNo(v bool) string {
 }
 
 func (s *Sim) handleFilterDoc(f map[string]string) (string, error) {
-	return yesNo(s.judgeCondition(f["condition"], f["doc"])), nil
+	return yesNo(s.judge(parseJudgeCond(f["condition"]), f["doc"])), nil
 }
 
 func (s *Sim) handleFilterBatch(f map[string]string) (string, error) {
 	docs := SplitDocs(f["docs"])
+	cond := parseJudgeCond(f["condition"])
 	out := make([]string, len(docs))
 	for i, d := range docs {
-		out[i] = yesNo(s.judgeCondition(f["condition"], d))
+		out[i] = yesNo(s.judge(cond, d))
 	}
 	return strings.Join(out, ","), nil
 }
@@ -285,14 +297,15 @@ func classClasses(word string) []string {
 	}
 }
 
-// classifyDoc picks the best label of the surface class for a document.
+// classifyDoc picks the best label of the surface class for a document:
+// one scan of the text serves every candidate class.
 func (s *Sim) classifyDoc(classWord, doc string) string {
+	hits := lexicon.Scan(doc)
 	best, bestHits := "", -1
 	for _, class := range classClasses(classWord) {
-		if label := lexicon.BestConcept(doc, class); label != "" {
-			hits := conceptHits(doc, label)
-			if hits > bestHits {
-				best, bestHits = label, hits
+		if label := hits.Best(class); label != "" {
+			if n := hits.Evoked(label); n > bestHits {
+				best, bestHits = label, n
 			}
 		}
 	}
@@ -305,20 +318,6 @@ func (s *Sim) classifyDoc(classWord, doc string) string {
 		}
 	}
 	return best
-}
-
-func conceptHits(text, name string) int {
-	c, ok := lexicon.Lookup(name)
-	if !ok {
-		return 0
-	}
-	hits := 0
-	for _, w := range c.Words {
-		if lexicon.Match(text, w, 1) {
-			hits++
-		}
-	}
-	return hits
 }
 
 func (s *Sim) handleClassifyDoc(f map[string]string) (string, error) {
@@ -337,34 +336,38 @@ func (s *Sim) handleClassifyBatch(f map[string]string) (string, error) {
 var reTitleLine = regexp.MustCompile(`(?m)^Title:\s*(.+)$`)
 
 func (s *Sim) handleExtractDoc(f map[string]string) (string, error) {
-	target := strings.ToLower(strings.TrimSpace(f["target"]))
-	doc := f["doc"]
+	return s.extractDoc(extractTarget(f["target"]), f["doc"]), nil
+}
+
+func extractTarget(field string) string {
+	return strings.ToLower(strings.TrimSpace(field))
+}
+
+// extractDoc pulls the (normalized) target out of one document.
+func (s *Sim) extractDoc(target, doc string) string {
 	switch target {
 	case "title":
 		if m := reTitleLine.FindStringSubmatch(doc); m != nil {
-			return strings.TrimSpace(m[1]), nil
+			return strings.TrimSpace(m[1])
 		}
-		return "unknown", nil
+		return "unknown"
 	case "views", "score", "year":
 		if v, ok := nlcond.ExtractField(doc, target); ok {
-			return strconv.FormatFloat(v, 'f', -1, 64), nil
+			return strconv.FormatFloat(v, 'f', -1, 64)
 		}
-		return "unknown", nil
+		return "unknown"
 	default:
 		// Concept-valued extraction ("sport", "topic", ...).
-		return s.classifyDoc(target, doc), nil
+		return s.classifyDoc(target, doc)
 	}
 }
 
 func (s *Sim) handleExtractBatch(f map[string]string) (string, error) {
 	docs := SplitDocs(f["docs"])
+	target := extractTarget(f["target"])
 	out := make([]string, len(docs))
 	for i, d := range docs {
-		v, err := s.handleExtractDoc(map[string]string{"target": f["target"], "doc": d})
-		if err != nil {
-			return "", err
-		}
-		out[i] = v
+		out[i] = s.extractDoc(target, d)
 	}
 	return strings.Join(out, ","), nil
 }

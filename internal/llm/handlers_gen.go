@@ -183,11 +183,12 @@ func (s *Sim) evalSet(n *nlq.Node, docs []string) (genVal, error) {
 		base = genVal{kind: "docs", docs: docs}
 	}
 	for _, flt := range n.Filters {
+		cond := parseJudgeCond(condText(flt))
 		switch base.kind {
 		case "docs":
 			kept := base.docs[:0:0]
 			for _, d := range base.docs {
-				if s.judgeCondition(condText(flt), d) {
+				if s.judge(cond, d) {
 					kept = append(kept, d)
 				}
 			}
@@ -205,7 +206,7 @@ func (s *Sim) evalSet(n *nlq.Node, docs []string) (genVal, error) {
 				// Other conditions filter members within each group.
 				var sub []string
 				for _, d := range members {
-					if s.judgeCondition(condText(flt), d) {
+					if s.judge(cond, d) {
 						sub = append(sub, d)
 					}
 				}

@@ -12,9 +12,10 @@ package llm
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // PrefillTokenFactor is the fraction of the per-output-token cost charged
@@ -102,13 +103,28 @@ type Client interface {
 	Profile() Profile
 }
 
-// CountTokens approximates a tokenizer: whitespace-separated fields plus a
-// third to account for sub-word splitting, matching the coarse granularity
-// the cost model needs.
+// CountTokens approximates a tokenizer: whitespace-separated fields (as
+// strings.Fields delimits them) plus a third to account for sub-word
+// splitting, matching the coarse granularity the cost model needs.
 func CountTokens(s string) int {
-	n := len(strings.Fields(s))
+	n := 0
+	prevSpace := true
+	for i := 0; i < len(s); i++ {
+		space := asciiSpace[s[i]]
+		if s[i] >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+			i += size - 1
+		}
+		if prevSpace && !space {
+			n++
+		}
+		prevSpace = space
+	}
 	return n + n/3
 }
+
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Call records one model invocation for cost accounting.
 type Call struct {
@@ -150,9 +166,8 @@ func (r *Recorder) Complete(ctx context.Context, prompt string) (Response, error
 	if err != nil {
 		return resp, err
 	}
-	task, _, _ := ParsePrompt(prompt)
 	r.mu.Lock()
-	r.calls = append(r.calls, Call{Task: task, InTokens: resp.InTokens, OutTokens: resp.OutTokens, Dur: resp.Dur, Cached: resp.Cached, Retries: resp.Retries, BatchKey: resp.BatchKey, TemplateTokens: resp.TemplateTokens, PayloadKey: resp.PayloadKey})
+	r.calls = append(r.calls, Call{Task: TaskOf(prompt), InTokens: resp.InTokens, OutTokens: resp.OutTokens, Dur: resp.Dur, Cached: resp.Cached, Retries: resp.Retries, BatchKey: resp.BatchKey, TemplateTokens: resp.TemplateTokens, PayloadKey: resp.PayloadKey})
 	r.mu.Unlock()
 	return resp, nil
 }

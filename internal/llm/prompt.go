@@ -36,37 +36,59 @@ func BuildPrompt(task string, fields map[string]string) string {
 	return b.String()
 }
 
-// ParsePrompt extracts the task name and fields from a prompt built with
-// BuildPrompt. ok is false for malformed prompts.
-func ParsePrompt(prompt string) (task string, fields map[string]string, ok bool) {
-	lines := strings.Split(prompt, "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "#TASK ") {
-		return "", nil, false
+// TaskOf returns the task name on a prompt's first line, or "" exactly
+// where ParsePrompt reports ok=false. Wrappers that only label a call by
+// its task use this instead of parsing the fields.
+func TaskOf(prompt string) string {
+	line, _, _ := strings.Cut(prompt, "\n")
+	if !strings.HasPrefix(line, "#TASK ") {
+		return ""
 	}
-	task = strings.TrimSpace(strings.TrimPrefix(lines[0], "#TASK "))
+	return strings.TrimSpace(line[len("#TASK "):])
+}
+
+// ParsePrompt extracts the task name and fields from a prompt built with
+// BuildPrompt. ok is false for malformed prompts. A field's value is the
+// run of lines between its #FIELD line and the next directive, which is
+// one contiguous substring of the prompt: nothing is split or copied.
+func ParsePrompt(prompt string) (task string, fields map[string]string, ok bool) {
+	task = TaskOf(prompt)
 	if task == "" {
 		return "", nil, false
 	}
 	fields = make(map[string]string)
-	var key string
-	var val []string
+	key := ""
+	from, to := -1, -1 // the open field's value is prompt[from:to]
 	flush := func() {
 		if key != "" {
-			fields[key] = strings.Join(val, "\n")
+			fields[key] = ""
+			if from >= 0 {
+				fields[key] = prompt[from:to]
+			}
 		}
-		key, val = "", nil
+		key, from = "", -1
 	}
-	for _, ln := range lines[1:] {
-		switch {
+	for pos := strings.IndexByte(prompt, '\n') + 1; pos > 0; {
+		end := len(prompt)
+		next := 0 // the line after the last has no start
+		if n := strings.IndexByte(prompt[pos:], '\n'); n >= 0 {
+			end = pos + n
+			next = end + 1
+		}
+		switch ln := prompt[pos:end]; {
 		case strings.HasPrefix(ln, "#FIELD "):
 			flush()
-			key = strings.TrimSpace(strings.TrimPrefix(ln, "#FIELD "))
+			key = strings.TrimSpace(ln[len("#FIELD "):])
 		case ln == "#END":
 			flush()
 			return task, fields, true
 		default:
-			val = append(val, ln)
+			if from < 0 {
+				from = pos
+			}
+			to = end
 		}
+		pos = next
 	}
 	flush()
 	return task, fields, true

@@ -72,7 +72,7 @@ func NewResilient(inner Client, pol RetryPolicy, onEvent func(event, task string
 
 // Complete implements Client.
 func (r *Resilient) Complete(ctx context.Context, prompt string) (Response, error) {
-	task, _, _ := ParsePrompt(prompt)
+	task := TaskOf(prompt)
 	if task == "" {
 		task = "unknown"
 	}

@@ -3,7 +3,6 @@ package llm
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 )
 
@@ -121,17 +120,7 @@ func (s *Sim) chance(p float64, keys ...string) bool {
 	if p <= 0 {
 		return false
 	}
-	h := fnv.New64a()
-	var seed [8]byte
-	for i := 0; i < 8; i++ {
-		seed[i] = byte(s.cfg.Seed >> (8 * i))
-	}
-	h.Write(seed[:])
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-	}
-	v := float64(h.Sum64()>>11) / (1 << 53)
+	v := float64(s.keyHash(0, keys)>>11) / (1 << 53)
 	return v < p
 }
 
@@ -141,17 +130,28 @@ func (s *Sim) pick(n int, keys ...string) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var seed [8]byte
+	return int(s.keyHash(1, keys) % uint64(n))
+}
+
+// keyHash is 64-bit FNV-1a (hash/fnv's New64a, written out so a draw
+// allocates nothing) over the seed's eight little-endian bytes, then each
+// key followed by the separator byte.
+func (s *Sim) keyHash(sep byte, keys []string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		seed[i] = byte(s.cfg.Seed >> (8 * i))
+		h = (h ^ uint64(byte(s.cfg.Seed>>(8*i)))) * prime64
 	}
-	h.Write(seed[:])
 	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{1})
+		for i := 0; i < len(k); i++ {
+			h = (h ^ uint64(k[i])) * prime64
+		}
+		h = (h ^ uint64(sep)) * prime64
 	}
-	return int(h.Sum64() % uint64(n))
+	return h
 }
 
 var _ Client = (*Sim)(nil)

@@ -51,7 +51,7 @@ func (t *Traced) Complete(ctx context.Context, prompt string) (Response, error) 
 		return resp, err
 	}
 	if p := t.parent(); p != nil {
-		task, _, _ := ParsePrompt(prompt)
+		task := TaskOf(prompt)
 		if task == "" {
 			task = "unknown"
 		}

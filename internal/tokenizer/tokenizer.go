@@ -8,6 +8,7 @@ package tokenizer
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords is a compact English stop-word list. It intentionally keeps
@@ -42,6 +43,42 @@ func IsStopword(w string) bool { return stopwords[w] }
 // operators). Punctuation separates tokens and is dropped.
 func Tokenize(text string) []string {
 	tokens := make([]string, 0, len(text)/6+1)
+	// ASCII fast path: a token is a substring of text, copied only when
+	// it holds an upper-case letter.
+	start, upper := -1, false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return tokenizeRunes(text)
+		case asciiLower[c] == 0:
+			if start >= 0 {
+				tokens = appendToken(tokens, text[start:i], upper)
+				start, upper = -1, false
+			}
+		default:
+			if start < 0 {
+				start = i
+			}
+			upper = upper || c != asciiLower[c]
+		}
+	}
+	if start >= 0 {
+		tokens = appendToken(tokens, text[start:], upper)
+	}
+	return tokens
+}
+
+func appendToken(tokens []string, tok string, upper bool) []string {
+	if upper {
+		tok = strings.ToLower(tok)
+	}
+	return append(tokens, tok)
+}
+
+// tokenizeRunes is Tokenize for text with non-ASCII bytes.
+func tokenizeRunes(text string) []string {
+	tokens := make([]string, 0, len(text)/6+1)
 	var b strings.Builder
 	flush := func() {
 		if b.Len() > 0 {
@@ -63,12 +100,25 @@ func Tokenize(text string) []string {
 	return tokens
 }
 
+// asciiLower maps an ASCII letter or digit to its lowercase form and every
+// other byte to 0 (a token separator).
+var asciiLower = func() (t [utf8.RuneSelf]byte) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c)
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = byte(c)
+		t[c-'a'+'A'] = byte(c)
+	}
+	return t
+}()
+
 // Terms tokenizes text and removes stop words, applying the light stemmer.
 // It is the canonical preprocessing used by the embedder and the simulated
 // LLM's keyword matching, so both sides agree on vocabulary.
 func Terms(text string) []string {
 	raw := Tokenize(text)
-	out := make([]string, 0, len(raw))
+	out := raw[:0]
 	for _, t := range raw {
 		if stopwords[t] {
 			continue
@@ -78,27 +128,116 @@ func Terms(text string) []string {
 	return out
 }
 
+// TermIter yields the terms of a text — exactly the strings Terms returns,
+// in order — one at a time, without building the slice. The zero value
+// iterates an empty text.
+type TermIter struct {
+	text string
+	pos  int
+	buf  [32]byte // backs the returned term; longer tokens spill to the heap
+}
+
+// NewTermIter returns an iterator over the terms of text.
+func NewTermIter(text string) TermIter { return TermIter{text: text} }
+
+// Next returns the next term, or ok=false after the last one. The bytes are
+// only valid until the following call.
+func (it *TermIter) Next() (term []byte, ok bool) {
+	for {
+		tok := it.nextToken()
+		if len(tok) == 0 {
+			return nil, false
+		}
+		if stopwords[string(tok)] {
+			continue
+		}
+		n, y := stemCut(tok)
+		tok = tok[:n]
+		if y {
+			tok = append(tok, 'y')
+		}
+		return tok, true
+	}
+}
+
+// nextToken returns the next lowercased token, empty at the end of text.
+func (it *TermIter) nextToken() []byte {
+	tok := it.buf[:0]
+	text, i := it.text, it.pos
+	for i < len(text) {
+		c := text[i]
+		if c < utf8.RuneSelf {
+			i++
+			if lc := asciiLower[c]; lc != 0 {
+				tok = append(tok, lc)
+			} else if len(tok) > 0 {
+				it.pos = i
+				return tok
+			}
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(text[i:])
+		i += size
+		switch {
+		case unicode.IsLetter(r):
+			tok = utf8.AppendRune(tok, unicode.ToLower(r))
+		case unicode.IsDigit(r):
+			tok = utf8.AppendRune(tok, r)
+		default:
+			if len(tok) > 0 {
+				it.pos = i
+				return tok
+			}
+		}
+	}
+	it.pos = i
+	return tok
+}
+
 // Stem applies a tiny deterministic suffix stemmer (a small subset of
 // Porter step 1): plural and gerund/participle endings. It never shortens
 // a token below three characters, which keeps short domain words intact.
 func Stem(w string) string {
-	n := len(w)
-	switch {
-	case n > 4 && strings.HasSuffix(w, "ies"):
-		return w[:n-3] + "y"
-	case n > 4 && strings.HasSuffix(w, "sses"):
-		return w[:n-2]
-	case n > 4 && strings.HasSuffix(w, "shes") || n > 4 && strings.HasSuffix(w, "ches") || n > 4 && strings.HasSuffix(w, "xes"):
-		return w[:n-2]
-	case n > 3 && strings.HasSuffix(w, "s") && !strings.HasSuffix(w, "ss") && !strings.HasSuffix(w, "us"):
-		return w[:n-1]
-	case n > 5 && strings.HasSuffix(w, "ing"):
-		return w[:n-3]
-	case n > 4 && strings.HasSuffix(w, "ed"):
-		return w[:n-2]
-	default:
-		return w
+	n, y := stemCut(w)
+	if y {
+		return w[:n] + "y"
 	}
+	return w[:n]
+}
+
+// stemCut is Stem's rule table: the stem of w is its first n bytes,
+// followed by "y" when y is set.
+func stemCut[S string | []byte](w S) (n int, y bool) {
+	n = len(w)
+	switch {
+	case n > 4 && hasSuffix(w, "ies"):
+		return n - 3, true
+	case n > 4 && hasSuffix(w, "sses"):
+		return n - 2, false
+	case n > 4 && (hasSuffix(w, "shes") || hasSuffix(w, "ches") || hasSuffix(w, "xes")):
+		return n - 2, false
+	case n > 3 && hasSuffix(w, "s") && !hasSuffix(w, "ss") && !hasSuffix(w, "us"):
+		return n - 1, false
+	case n > 5 && hasSuffix(w, "ing"):
+		return n - 3, false
+	case n > 4 && hasSuffix(w, "ed"):
+		return n - 2, false
+	default:
+		return n, false
+	}
+}
+
+func hasSuffix[S string | []byte](w S, suffix string) bool {
+	if len(w) < len(suffix) {
+		return false
+	}
+	tail := w[len(w)-len(suffix):]
+	for i := 0; i < len(suffix); i++ {
+		if tail[i] != suffix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Bigrams returns adjacent term pairs joined by '_'. Bigrams sharpen the
@@ -128,8 +267,9 @@ func TermFreq(text string) map[string]int {
 // word. It is the primitive used by keyword filters.
 func ContainsTerm(text, word string) bool {
 	target := Stem(strings.ToLower(word))
-	for _, t := range Terms(text) {
-		if t == target {
+	it := NewTermIter(text)
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		if string(t) == target {
 			return true
 		}
 	}
@@ -146,8 +286,9 @@ func ContainsAny(text string, words []string) bool {
 	for _, w := range words {
 		set[Stem(strings.ToLower(w))] = true
 	}
-	for _, t := range Terms(text) {
-		if set[t] {
+	it := NewTermIter(text)
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		if set[string(t)] {
 			return true
 		}
 	}

@@ -138,3 +138,127 @@ func TestTokenizeNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refStem is the stemmer as it was written before stemCut shared its
+// rules with TermIter; the differential tests below hold the two together.
+func refStem(w string) string {
+	n := len(w)
+	switch {
+	case n > 4 && strings.HasSuffix(w, "ies"):
+		return w[:n-3] + "y"
+	case n > 4 && strings.HasSuffix(w, "sses"):
+		return w[:n-2]
+	case n > 4 && strings.HasSuffix(w, "shes") || n > 4 && strings.HasSuffix(w, "ches") || n > 4 && strings.HasSuffix(w, "xes"):
+		return w[:n-2]
+	case n > 3 && strings.HasSuffix(w, "s") && !strings.HasSuffix(w, "ss") && !strings.HasSuffix(w, "us"):
+		return w[:n-1]
+	case n > 5 && strings.HasSuffix(w, "ing"):
+		return w[:n-3]
+	case n > 4 && strings.HasSuffix(w, "ed"):
+		return w[:n-2]
+	default:
+		return w
+	}
+}
+
+// refTerms is Terms over the rune-loop tokenizer and refStem.
+func refTerms(text string) []string {
+	var out []string
+	for _, t := range tokenizeRunes(text) {
+		if !stopwords[t] {
+			out = append(out, refStem(t))
+		}
+	}
+	return out
+}
+
+// tokenizerSamples mixes the shapes the fast paths branch on: case, digits,
+// every stemmer suffix, stop words, long tokens, non-ASCII letters and
+// digits, letters that lowercase into ASCII, and invalid UTF-8.
+var tokenizerSamples = []string{
+	"",
+	"...",
+	"Hello, World!",
+	"UPPER lower MiXeD 42nd 1523",
+	"The injuries, matches, boxes, classes, dishes and buses were trained, jumping",
+	"over overs OVERS fly-half q-learning",
+	strings.Repeat("Supercalifragilistic", 9) + "s",
+	"naïve café ÉCOLE Ünïcödé straße",
+	"İstanbul Kelvin ǅ",
+	"٣٤ docs, १२ pages",
+	"bad \xff\xfe bytes\xc3",
+	"tab\tnew\nline\r\vform\f end",
+}
+
+func TestTokenizeFastPathMatchesRuneLoop(t *testing.T) {
+	check := func(s string) bool {
+		got, want := Tokenize(s), tokenizeRunes(s)
+		return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
+	}
+	for _, s := range tokenizerSamples {
+		if !check(s) {
+			t.Errorf("Tokenize(%q) = %q, rune loop gives %q", s, Tokenize(s), tokenizeRunes(s))
+		}
+	}
+	ascii := func(b []byte) bool {
+		for i := range b {
+			b[i] &= 0x7f
+		}
+		return check(string(b))
+	}
+	if err := quick.Check(ascii, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func iterTerms(text string) []string {
+	var out []string
+	it := NewTermIter(text)
+	for term, ok := it.Next(); ok; term, ok = it.Next() {
+		out = append(out, string(term))
+	}
+	return out
+}
+
+func TestTermIterMatchesTerms(t *testing.T) {
+	check := func(s string) bool {
+		want := refTerms(s)
+		return reflect.DeepEqual(iterTerms(s), want) && reflect.DeepEqual(append([]string(nil), Terms(s)...), want)
+	}
+	for _, s := range tokenizerSamples {
+		if !check(s) {
+			t.Errorf("terms of %q: iterator %q, Terms %q, reference %q", s, iterTerms(s), Terms(s), refTerms(s))
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(b []byte) bool { return check(string(b)) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestStemMatchesReference(t *testing.T) {
+	if err := quick.Check(func(w string) bool { return Stem(w) == refStem(w) }, nil); err != nil {
+		t.Error(err)
+	}
+	for _, w := range tokenizeRunes(strings.Join(tokenizerSamples, " ")) {
+		if Stem(w) != refStem(w) {
+			t.Errorf("Stem(%q) = %q, reference %q", w, Stem(w), refStem(w))
+		}
+	}
+}
+
+func TestTermIterAllocatesNothingOnShortTokens(t *testing.T) {
+	text := "The Goalkeeper made THREE great saves; 1523 Views, injuries and matches."
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		it := NewTermIter(text)
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			n++
+		}
+	})
+	if allocs != 0 || n == 0 {
+		t.Errorf("TermIter: %v allocs per pass over %d terms, want 0", allocs, n)
+	}
+}
