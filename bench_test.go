@@ -18,6 +18,7 @@ import (
 
 	"unify/internal/baselines"
 	"unify/internal/corpus"
+	"unify/internal/docstore"
 	"unify/internal/embedding"
 	"unify/internal/llm"
 	"unify/internal/nlq"
@@ -309,6 +310,81 @@ func BenchmarkHNSWVsFlat(b *testing.B) {
 		}
 	})
 }
+
+// benchDocs is the corpus the index-construction benchmarks build over.
+func benchDocs(b *testing.B, n int) []docstore.Document {
+	b.Helper()
+	ds, err := corpus.GenerateN("sports", n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds.Documents()
+}
+
+// BenchmarkHNSWBuild measures graph construction alone: 600 document
+// vectors, embedded beforehand, inserted in order.
+func BenchmarkHNSWBuild(b *testing.B) {
+	docs := benchDocs(b, 600)
+	emb := embedding.New(embedding.DefaultDim)
+	vecs := make([][]float32, len(docs))
+	for i, d := range docs {
+		vecs[i] = emb.Embed(d.Text)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hnsw := vector.NewHNSW(vector.DefaultHNSWConfig())
+		for j, v := range vecs {
+			if err := hnsw.Add(docs[j].ID, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkUpdateDoc measures Store.UpdateDocs on a 600-document store with
+// one and with three documents per call: the graph is rebuilt once per
+// call, so /3 should cost about what /1 does, not three times as much.
+func BenchmarkUpdateDoc(b *testing.B) {
+	docs := benchDocs(b, 600)
+	for _, per := range []int{1, 3} {
+		b.Run(fmt.Sprint(per), func(b *testing.B) {
+			store, err := docstore.New("bench", docs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]docstore.Document, per)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch {
+					at := (i*per + j) % len(docs)
+					batch[j] = docs[at]
+					batch[j].Text = docs[len(docs)-1-at].Text
+				}
+				if err := store.UpdateDocs(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreSearchDocs measures the IndexScan access path end to end:
+// embed the query text, search the graph.
+func BenchmarkStoreSearchDocs(b *testing.B) {
+	store, err := docstore.New("bench", benchDocs(b, 600))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResults = store.SearchDocs("related to injury recovery", 50)
+	}
+}
+
+var benchResults []vector.Result
 
 // BenchmarkEmbedding measures the text-embedding substrate.
 func BenchmarkEmbedding(b *testing.B) {

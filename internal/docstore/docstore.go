@@ -5,6 +5,8 @@ package docstore
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -153,34 +155,85 @@ func (s *Store) AddDocs(docs []Document) error {
 	return nil
 }
 
-// UpdateDoc replaces an existing document's content and deterministically
-// reindexes the store from scratch (HNSW has no delete; a full rebuild
-// in collection order with a fresh level RNG is byte-identical to a cold
-// build over the mutated corpus, which is exactly the equivalence the
-// ingest determinism tests pin). Bumps the corpus generation.
-func (s *Store) UpdateDoc(d Document) error {
-	i, ok := s.byID[d.ID]
-	if !ok {
-		return fmt.Errorf("docstore: update of unknown document id %d", d.ID)
-	}
-	s.Docs[i] = d
+// UpdateDoc is UpdateDocs for one document.
+func (s *Store) UpdateDoc(d Document) error { return s.UpdateDocs([]Document{d}) }
 
-	docs := s.Docs
-	s.Docs = nil
-	s.docVecs = nil
-	s.byID = make(map[int]int, len(docs))
-	s.hashes = make(map[int]uint64, len(docs))
-	s.flat = vector.NewFlat()
-	s.hnsw = vector.NewHNSW(s.opts.hnswCfg)
+// UpdateDocs replaces the content of existing documents, in order, and
+// bumps the corpus generation once per document. It recomputes only what
+// the new content determines — each document's embedding, content hash and
+// sentence embeddings, replaced at the positions they already hold — and
+// rebuilds only the HNSW graph, once, from the vectors the store holds
+// (the sentence index, a list of vectors by position, is re-assembled from
+// the held vectors once as well).
+// The graph is rebuilt rather than repaired because HNSW has no delete and
+// its search is not exact: re-inserting in collection order with a fresh
+// level RNG yields byte for byte the graph of a cold build over the mutated
+// corpus, which is the equivalence the ingest determinism tests pin. An
+// unknown id fails the whole call before anything changes.
+func (s *Store) UpdateDocs(docs []Document) error {
+	for _, d := range docs {
+		if _, ok := s.byID[d.ID]; !ok {
+			return fmt.Errorf("docstore: update of unknown document id %d", d.ID)
+		}
+	}
+	if len(docs) == 0 {
+		return nil
+	}
+	var sentVecs [][]float32
+	if s.sentIndex != nil {
+		sentVecs = make([][]float32, len(s.sentences))
+		for j := range sentVecs {
+			sentVecs[j] = s.sentIndex.Vector(j)
+		}
+	}
+	for _, d := range docs {
+		i := s.byID[d.ID]
+		v := s.embedder.Embed(d.Text)
+		s.Docs[i] = d
+		s.docVecs[i] = v
+		s.flat.Set(d.ID, v)
+		s.hashes[d.ID] = views.DocHash(d.Title, d.Text)
+		if s.sentIndex != nil {
+			sentVecs = s.spliceSentences(sentVecs, i, d)
+		}
+	}
 	if s.sentIndex != nil {
 		s.sentIndex = vector.NewFlat()
-		s.sentences = nil
+		for j, v := range sentVecs {
+			if err := s.sentIndex.Add(j, v); err != nil {
+				return err
+			}
+		}
 	}
-	if err := s.indexDocs(docs); err != nil {
-		return err
+	s.hnsw = vector.NewHNSW(s.opts.hnswCfg)
+	for i, d := range s.Docs {
+		if err := s.hnsw.Add(d.ID, s.docVecs[i]); err != nil {
+			return err
+		}
 	}
-	s.generation.Add(1)
+	s.generation.Add(uint64(len(docs)))
 	return nil
+}
+
+// spliceSentences replaces the sentences of d, the document at collection
+// position i, and their vectors in vecs, where they stand. Sentences are
+// held in collection order and a sentence's id is its position, so the
+// spliced lists are the ones a cold build produces, also when the sentence
+// count changes or was zero.
+func (s *Store) spliceSentences(vecs [][]float32, i int, d Document) [][]float32 {
+	lo := sort.Search(len(s.sentences), func(j int) bool { return s.byID[s.sentences[j].DocID] >= i })
+	hi := lo
+	for hi < len(s.sentences) && s.sentences[hi].DocID == d.ID {
+		hi++
+	}
+	var sents []Sentence
+	var sentVecs [][]float32
+	for _, text := range SplitSentences(d.Text) {
+		sents = append(sents, Sentence{DocID: d.ID, Text: text})
+		sentVecs = append(sentVecs, s.embedder.Embed(text))
+	}
+	s.sentences = slices.Replace(s.sentences, lo, hi, sents...)
+	return slices.Replace(vecs, lo, hi, sentVecs...)
 }
 
 // Generation reports how many times the corpus has been mutated since

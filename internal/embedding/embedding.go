@@ -11,7 +11,6 @@
 package embedding
 
 import (
-	"hash/fnv"
 	"math"
 
 	"unify/internal/lexicon"
@@ -49,54 +48,114 @@ func (e *Embedder) Dim() int { return e.dim }
 func (e *Embedder) Embed(text string) []float32 {
 	v := make([]float32, e.dim)
 	terms := tokenizer.Terms(text)
-	e.accumulate(v, terms, 1.0)
-	e.accumulate(v, tokenizer.Bigrams(terms), 0.5)
-	e.accumulate(v, expandConcepts(terms), 0.6)
-	normalize(v)
-	return v
-}
-
-// expandConcepts returns the stemmed indicator words of every concept
-// named in terms.
-func expandConcepts(terms []string) []string {
-	var out []string
+	var tf counter
+	for _, t := range terms {
+		tf.add(feature{a: t})
+	}
+	tf.flush(v, 1.0)
+	for i := 0; i+1 < len(terms); i++ {
+		tf.add(feature{terms[i], terms[i+1]})
+	}
+	tf.flush(v, 0.5)
 	for _, t := range terms {
 		c, ok := lexicon.Lookup(t)
 		if !ok {
 			continue
 		}
+		// The concept's stemmed indicator words, other than the term itself.
 		for _, w := range c.Words {
-			s := tokenizer.Stem(w)
-			if s != t {
-				out = append(out, s)
+			if s := tokenizer.Stem(w); s != t {
+				tf.add(feature{a: s})
 			}
 		}
 	}
-	return out
+	tf.flush(v, 0.6)
+	normalize(v)
+	return v
 }
 
-func (e *Embedder) accumulate(v []float32, feats []string, weight float64) {
-	tf := make(map[string]int, len(feats))
-	for _, f := range feats {
-		tf[f]++
+// feature is one hashed feature: the unigram a, or the bigram a+"_"+b when
+// b is set. Terms hold only letters and digits, so the pair identifies the
+// joined string and the string itself is never built.
+type feature struct{ a, b string }
+
+// hash is the 64-bit FNV-1a hash of the feature's string form.
+func (f feature) hash() uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	sum := uint64(offset64)
+	for i := 0; i < len(f.a); i++ {
+		sum = (sum ^ uint64(f.a[i])) * prime64
 	}
-	for f, n := range tf {
-		idx, sign := hashFeature(f, e.dim)
-		v[idx] += float32(sign) * float32(weight*(1+math.Log(float64(n))))
+	if f.b != "" {
+		sum = (sum ^ '_') * prime64
+		for i := 0; i < len(f.b); i++ {
+			sum = (sum ^ uint64(f.b[i])) * prime64
+		}
+	}
+	return sum
+}
+
+// counter counts the occurrences of each distinct feature added since the
+// last flush, remembering the order in which they first appeared. It is a
+// small open-addressing table probed with the feature hash the embedding
+// needs anyway, so a feature is hashed once and no map is built per call.
+type counter struct {
+	order []tally // distinct features, in first-occurrence order
+	slots []int32 // 1 + index into order, 0 when empty; len is a power of two
+}
+
+type tally struct {
+	f   feature
+	sum uint64 // f.hash()
+	n   int
+}
+
+func (c *counter) add(f feature) {
+	if 2*(len(c.order)+1) > len(c.slots) {
+		c.grow()
+	}
+	sum := f.hash()
+	mask := uint64(len(c.slots) - 1)
+	i := sum & mask
+	for ; c.slots[i] != 0; i = (i + 1) & mask {
+		if t := &c.order[c.slots[i]-1]; t.sum == sum && t.f == f {
+			t.n++
+			return
+		}
+	}
+	c.order = append(c.order, tally{f, sum, 1})
+	c.slots[i] = int32(len(c.order))
+}
+
+// grow doubles the table and re-seats what has been counted.
+func (c *counter) grow() {
+	c.slots = make([]int32, max(64, 2*len(c.slots)))
+	mask := uint64(len(c.slots) - 1)
+	for j, t := range c.order {
+		i := t.sum & mask
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = int32(j + 1)
 	}
 }
 
-// hashFeature maps a feature to (bucket, ±1) using two FNV variants.
-func hashFeature(f string, dim int) (int, int) {
-	h := fnv.New64a()
-	h.Write([]byte(f))
-	sum := h.Sum64()
-	idx := int(sum % uint64(dim))
-	sign := 1
-	if (sum>>32)&1 == 1 {
-		sign = -1
+// flush adds each counted feature's weighted sublinear term frequency to
+// its hash bucket of v (the bucket and a ±1 sign both come from the feature
+// hash), in first-occurrence order, and empties the counter. The order is
+// part of the result: float32 addition does not associate, so when three or
+// more features share a bucket a different order gives different bits
+// (ranging over a count map here once made Embed nondeterministic).
+func (c *counter) flush(v []float32, weight float64) {
+	for _, t := range c.order {
+		w := float32(weight * (1 + math.Log(float64(t.n))))
+		if (t.sum>>32)&1 == 1 {
+			w = -w
+		}
+		v[t.sum%uint64(len(v))] += w
 	}
-	return idx, sign
+	c.order = c.order[:0]
+	clear(c.slots)
 }
 
 func normalize(v []float32) {

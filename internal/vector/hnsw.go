@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -26,8 +25,11 @@ type hnswNode struct {
 	id    int
 	vec   []float32
 	level int
-	// links[l] lists neighbor slots (indices into nodes) at layer l.
+	// links[l] lists neighbor slots (indices into nodes) at layer l, and
+	// dists[l][j] is the distance from this node to links[l][j]: the value
+	// computed when the link was made, kept so pruning never recomputes it.
 	links [][]int32
+	dists [][]float64
 }
 
 // HNSW is a hierarchical navigable small-world graph index.
@@ -102,8 +104,11 @@ func (h *HNSW) Add(id int, vec []float32) error {
 	}
 	level := h.randomLevel()
 	slot := int32(len(h.nodes))
-	node := hnswNode{id: id, vec: vec, level: level, links: make([][]int32, level+1)}
-	h.nodes = append(h.nodes, node)
+	h.nodes = append(h.nodes, hnswNode{
+		id: id, vec: vec, level: level,
+		links: make([][]int32, level+1),
+		dists: make([][]float64, level+1),
+	})
 	h.byID[id] = slot
 
 	if h.entry < 0 {
@@ -112,10 +117,11 @@ func (h *HNSW) Add(id int, vec []float32) error {
 		return nil
 	}
 
+	q := newQuery(vec)
 	ep := h.entry
 	// Greedy descent through layers above the new node's level.
 	for l := h.maxLvl; l > level; l-- {
-		ep = h.greedyClosest(vec, ep, l)
+		ep = h.greedyClosest(q, ep, l)
 	}
 	// Insert with beam search on each layer from min(level, maxLvl) down.
 	top := level
@@ -123,14 +129,25 @@ func (h *HNSW) Add(id int, vec []float32) error {
 		top = h.maxLvl
 	}
 	for l := top; l >= 0; l-- {
-		cands := h.searchLayer(vec, ep, h.cfg.EfConstruction, l)
-		neighbors := h.selectNeighbors(vec, cands, h.maxLinks(l))
-		h.nodes[slot].links[l] = append(h.nodes[slot].links[l], neighbors...)
-		for _, n := range neighbors {
-			h.link(n, slot, l)
+		cands := h.searchLayer(q, ep, h.cfg.EfConstruction, l)
+		ep = cands[0].slot
+		// Keep the m closest candidates (simple selection, which is
+		// adequate at the corpus scales exercised here).
+		maxL := h.maxLinks(l)
+		if len(cands) > maxL {
+			cands = cands[:maxL]
 		}
-		if len(cands) > 0 {
-			ep = cands[0].slot
+		// One spare slot, so a later reverse link appends and prunes in place.
+		links := make([]int32, len(cands), maxL+1)
+		dists := make([]float64, len(cands), maxL+1)
+		for i, c := range cands {
+			links[i], dists[i] = c.slot, c.dist
+		}
+		h.nodes[slot].links[l], h.nodes[slot].dists[l] = links, dists
+		for _, c := range cands {
+			// Distance is symmetric to the bit (see query.distance), so the
+			// value the search computed for (new, c) serves (c, new).
+			h.link(c.slot, slot, c.dist, l)
 		}
 	}
 	if level > h.maxLvl {
@@ -140,48 +157,85 @@ func (h *HNSW) Add(id int, vec []float32) error {
 	return nil
 }
 
-// link adds dst to src's layer-l neighbor list, pruning to capacity by
-// keeping the closest links.
-func (h *HNSW) link(src, dst int32, l int) {
+// link adds dst, at distance dist, to src's layer-l neighbor list, pruning
+// to capacity by keeping the closest links. It computes no distance: the
+// partial selection sort runs over the values cached beside the links.
+func (h *HNSW) link(src, dst int32, dist float64, l int) {
 	node := &h.nodes[src]
-	node.links[l] = append(node.links[l], dst)
-	maxL := h.maxLinks(l)
-	if len(node.links[l]) <= maxL {
-		return
-	}
-	// Prune: keep the maxL closest neighbors to src.
-	type cand struct {
-		slot int32
-		dist float64
-	}
-	cands := make([]cand, 0, len(node.links[l]))
-	for _, n := range node.links[l] {
-		cands = append(cands, cand{n, embedding.Distance(node.vec, h.nodes[n].vec)})
-	}
-	// Selection by partial sort (small lists).
-	for i := 0; i < maxL; i++ {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].dist < cands[best].dist {
-				best = j
+	links := append(node.links[l], dst)
+	dists := append(node.dists[l], dist)
+	if maxL := h.maxLinks(l); len(links) > maxL {
+		for i := 0; i < maxL; i++ {
+			best := i
+			for j := i + 1; j < len(dists); j++ {
+				if dists[j] < dists[best] {
+					best = j
+				}
 			}
+			links[i], links[best] = links[best], links[i]
+			dists[i], dists[best] = dists[best], dists[i]
 		}
-		cands[i], cands[best] = cands[best], cands[i]
+		links, dists = links[:maxL], dists[:maxL]
 	}
-	kept := make([]int32, maxL)
-	for i := 0; i < maxL; i++ {
-		kept[i] = cands[i].slot
-	}
-	node.links[l] = kept
+	node.links[l], node.dists[l] = links, dists
 }
 
-func (h *HNSW) greedyClosest(q []float32, ep int32, l int) int32 {
+// query is a vector prepared for repeated distance computations: its
+// non-zero coordinates only (a document embedding averages 84 of 256, a
+// sentence or query embedding under 10).
+type query struct {
+	idx []int32
+	val []float64
+}
+
+func newQuery(v []float32) query {
+	nz := 0
+	for _, x := range v {
+		if x != 0 {
+			nz++
+		}
+	}
+	q := query{idx: make([]int32, 0, nz), val: make([]float64, 0, nz)}
+	for i, x := range v {
+		if x != 0 {
+			q.idx = append(q.idx, int32(i))
+			q.val = append(q.val, float64(x))
+		}
+	}
+	return q
+}
+
+// distance returns embedding.Distance(q's vector, v), to the bit, for
+// finite v. The dense dot product adds float64(a[i])*float64(b[i]) in index
+// order to a sum that starts at +0; where a[i] is ±0 that term is ±0, and
+// adding ±0 leaves any sum unchanged, +0 included (+0 + -0 = +0, and a sum
+// that starts at +0 can never become -0). Skipping those terms therefore
+// performs the same sequence of roundings on the same values (fused into a
+// multiply-add or not: the skipped product is an exact zero either way).
+// Each product commutes, so distance(a, b) and distance(b, a) are the same
+// bits.
+func (q query) distance(v []float32) float64 {
+	var dot float64
+	for j, i := range q.idx {
+		dot += q.val[j] * float64(v[i])
+	}
+	d := 1 - dot
+	if d < 0 {
+		return 0
+	}
+	if d > 2 {
+		return 2
+	}
+	return d
+}
+
+func (h *HNSW) greedyClosest(q query, ep int32, l int) int32 {
 	cur := ep
-	curDist := embedding.Distance(q, h.nodes[cur].vec)
+	curDist := q.distance(h.nodes[cur].vec)
 	for {
 		improved := false
 		for _, n := range h.nodes[cur].links[l] {
-			if d := embedding.Distance(q, h.nodes[n].vec); d < curDist {
+			if d := q.distance(h.nodes[n].vec); d < curDist {
 				cur, curDist = n, d
 				improved = true
 			}
@@ -197,46 +251,64 @@ type scored struct {
 	dist float64
 }
 
-// minHeap orders by ascending distance (candidates to expand).
+// minHeap is a binary heap of scored ordered by ascending dist. push and
+// pop sift exactly as container/heap's up and down do, so entries at equal
+// distance leave in the order they would leave a container/heap — the graph
+// a build produces depends on that order.
 type minHeap []scored
 
-func (h minHeap) Len() int            { return len(h) }
-func (h minHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(scored)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *minHeap) push(s scored) {
+	*h = append(*h, s)
+	a := *h
+	for j := len(a) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(a[j].dist < a[i].dist) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
 }
 
-// maxHeap orders by descending distance (result set, worst on top).
-type maxHeap []scored
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].dist > h[j].dist }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(scored)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *minHeap) pop() scored {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].dist < a[j].dist {
+			j = j2
+		}
+		if !(a[j].dist < a[i].dist) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
+	return a[n]
 }
 
 // searchLayer runs a beam search of width ef on layer l starting from ep.
-// Results are sorted ascending by distance.
-func (h *HNSW) searchLayer(q []float32, ep int32, ef, l int) []scored {
-	visited := map[int32]bool{ep: true}
-	start := scored{ep, embedding.Distance(q, h.nodes[ep].vec)}
-	cands := &minHeap{start}
-	res := &maxHeap{start}
-	for cands.Len() > 0 {
-		c := heap.Pop(cands).(scored)
-		if res.Len() >= ef && c.dist > (*res)[0].dist {
+// Results are sorted ascending by distance. The visited set and both heaps
+// are allocated per call: concurrent Searches share no scratch.
+func (h *HNSW) searchLayer(q query, ep int32, ef, l int) []scored {
+	visited := make([]bool, len(h.nodes))
+	visited[ep] = true
+	d := q.distance(h.nodes[ep].vec)
+	// cands holds the nodes still to expand, closest on top. res holds the
+	// best ef found so far with dist negated, which makes the same min-heap
+	// keep the worst on top (a > b exactly when -a < -b).
+	cands := make(minHeap, 0, ef+1)
+	res := make(minHeap, 0, ef+1)
+	cands.push(scored{ep, d})
+	res.push(scored{ep, -d})
+	for len(cands) > 0 {
+		c := cands.pop()
+		if len(res) >= ef && c.dist > -res[0].dist {
 			break
 		}
 		for _, n := range h.nodes[c.slot].links[l] {
@@ -244,32 +316,20 @@ func (h *HNSW) searchLayer(q []float32, ep int32, ef, l int) []scored {
 				continue
 			}
 			visited[n] = true
-			d := embedding.Distance(q, h.nodes[n].vec)
-			if res.Len() < ef || d < (*res)[0].dist {
-				heap.Push(cands, scored{n, d})
-				heap.Push(res, scored{n, d})
-				if res.Len() > ef {
-					heap.Pop(res)
+			d := q.distance(h.nodes[n].vec)
+			if len(res) < ef || d < -res[0].dist {
+				cands.push(scored{n, d})
+				res.push(scored{n, -d})
+				if len(res) > ef {
+					res.pop()
 				}
 			}
 		}
 	}
-	out := make([]scored, res.Len())
+	out := make([]scored, len(res))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(res).(scored)
-	}
-	return out
-}
-
-// selectNeighbors keeps the m closest candidates (simple selection, which
-// is adequate at the corpus scales exercised here).
-func (h *HNSW) selectNeighbors(q []float32, cands []scored, m int) []int32 {
-	if len(cands) > m {
-		cands = cands[:m]
-	}
-	out := make([]int32, len(cands))
-	for i, c := range cands {
-		out[i] = c.slot
+		s := res.pop()
+		out[i] = scored{s.slot, -s.dist}
 	}
 	return out
 }
@@ -279,15 +339,16 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 	if k <= 0 || h.entry < 0 {
 		return nil
 	}
+	q := newQuery(query)
 	ep := h.entry
 	for l := h.maxLvl; l > 0; l-- {
-		ep = h.greedyClosest(query, ep, l)
+		ep = h.greedyClosest(q, ep, l)
 	}
 	ef := h.cfg.EfSearch
 	if ef < k {
 		ef = k
 	}
-	cands := h.searchLayer(query, ep, ef, 0)
+	cands := h.searchLayer(q, ep, ef, 0)
 	if len(cands) > k {
 		cands = cands[:k]
 	}
@@ -340,7 +401,12 @@ func (h *HNSW) Export() *HNSWDump {
 	return d
 }
 
-// ImportHNSW reconstructs a graph from a dump.
+// ImportHNSW reconstructs a graph from a dump, recomputing the cached link
+// distances the dump does not carry. A dump that could not have come from
+// Export — a link to a node that does not exist on that layer, a link list
+// per layer other than Levels[i]+1, vectors of unequal length, an entry
+// point that is not a top-level node — is an error here, not a panic in a
+// later Search.
 func ImportHNSW(d *HNSWDump) (*HNSW, error) {
 	if d == nil {
 		return nil, fmt.Errorf("vector: nil HNSW dump")
@@ -352,6 +418,15 @@ func ImportHNSW(d *HNSWDump) (*HNSW, error) {
 	}
 	h := NewHNSW(d.Cfg)
 	h.rng = d.RNG
+	if n == 0 {
+		return h, nil
+	}
+	if d.Entry < 0 || int(d.Entry) >= n {
+		return nil, fmt.Errorf("vector: dump entry point %d out of range", d.Entry)
+	}
+	if d.MaxLvl != d.Levels[d.Entry] {
+		return nil, fmt.Errorf("vector: dump max level %d, entry point is on level %d", d.MaxLvl, d.Levels[d.Entry])
+	}
 	h.entry = d.Entry
 	h.maxLvl = d.MaxLvl
 	h.nodes = make([]hnswNode, n)
@@ -359,16 +434,33 @@ func ImportHNSW(d *HNSWDump) (*HNSW, error) {
 		if _, dup := h.byID[d.IDs[i]]; dup {
 			return nil, fmt.Errorf("vector: duplicate id %d in dump", d.IDs[i])
 		}
+		if len(d.Vecs[i]) != len(d.Vecs[0]) {
+			return nil, fmt.Errorf("vector: dump node %d has %d dimensions, node 0 has %d", i, len(d.Vecs[i]), len(d.Vecs[0]))
+		}
+		if d.Levels[i] < 0 || len(d.Links[i]) != d.Levels[i]+1 {
+			return nil, fmt.Errorf("vector: dump node %d has %d link lists on level %d", i, len(d.Links[i]), d.Levels[i])
+		}
 		h.byID[d.IDs[i]] = int32(i)
 		h.nodes[i] = hnswNode{
 			id:    d.IDs[i],
 			vec:   d.Vecs[i],
 			level: d.Levels[i],
 			links: d.Links[i],
+			dists: make([][]float64, len(d.Links[i])),
 		}
 	}
-	if n > 0 && (h.entry < 0 || int(h.entry) >= n) {
-		return nil, fmt.Errorf("vector: dump entry point %d out of range", h.entry)
+	for i := range h.nodes {
+		node := &h.nodes[i]
+		for l, links := range node.links {
+			dists := make([]float64, len(links))
+			for j, nb := range links {
+				if nb < 0 || int(nb) >= n || d.Levels[nb] < l {
+					return nil, fmt.Errorf("vector: dump node %d links to %d on layer %d, which has no such node", i, nb, l)
+				}
+				dists[j] = embedding.Distance(node.vec, d.Vecs[nb])
+			}
+			node.dists[l] = dists
+		}
 	}
 	return h, nil
 }

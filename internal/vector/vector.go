@@ -68,6 +68,16 @@ func (f *Flat) Vector(id int) []float32 {
 	return nil
 }
 
+// Set replaces the stored vector for id, keeping its position, and
+// reports whether id was present.
+func (f *Flat) Set(id int, vec []float32) bool {
+	i, ok := f.byID[id]
+	if ok {
+		f.vecs[i] = vec
+	}
+	return ok
+}
+
 // Search implements Index.
 func (f *Flat) Search(query []float32, k int) []Result {
 	if k <= 0 || len(f.ids) == 0 {

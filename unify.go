@@ -577,13 +577,14 @@ func (s *System) Ingest(add []docstore.Document, update []docstore.Document) (*I
 			s.Sharding.Extend(add)
 		}
 	}
-	for _, d := range update {
-		if s.Views != nil {
+	if s.Views != nil {
+		for _, d := range update {
 			res.InvalidatedRows += s.Views.Invalidate(d.ID)
 		}
-		if err := s.Store.UpdateDoc(d); err != nil {
-			return nil, fmt.Errorf("unify: ingest: %w", err)
-		}
+	}
+	// One call for all updates: the store rebuilds its graph once.
+	if err := s.Store.UpdateDocs(update); err != nil {
+		return nil, fmt.Errorf("unify: ingest: %w", err)
 	}
 	res.Generation = s.Store.Generation()
 	res.Docs = s.Store.Len()
