@@ -66,10 +66,10 @@ func contextDocsForSentences(store *docstore.Store, sents []docstore.Sentence, m
 
 func generate(ctx context.Context, client llm.Client, question string, docs []string) (string, []llm.Call, error) {
 	rec := llm.NewRecorder(client)
-	resp, err := rec.Complete(ctx, llm.BuildPrompt("generate", map[string]string{
-		"question": question,
-		"context":  llm.JoinDocs(docs),
-	}))
+	resp, err := llm.Do(ctx, rec, llm.NewRequest("generate",
+		llm.Text("question", question),
+		llm.Docs("context", docs),
+	))
 	if err != nil {
 		return "", nil, err
 	}

@@ -100,10 +100,10 @@ func (b *Exhaust) Run(ctx context.Context, query string) (Result, error) {
 		return Result{}, err
 	}
 	rec := llm.NewRecorder(b.Planner)
-	resp, err := rec.Complete(ctx, llm.BuildPrompt("judge_answers", map[string]string{
-		"question":   query,
-		"candidates": string(cand),
-	}))
+	resp, err := llm.Do(ctx, rec, llm.NewRequest("judge_answers",
+		llm.Text("question", query),
+		llm.Text("candidates", string(cand)),
+	))
 	if err != nil {
 		return Result{}, err
 	}

@@ -44,10 +44,10 @@ type oneshotStep struct {
 // Run implements Baseline.
 func (b *LLMPlan) Run(ctx context.Context, query string) (Result, error) {
 	planRec := llm.NewRecorder(b.Client)
-	resp, err := planRec.Complete(ctx, llm.BuildPrompt("plan_oneshot", map[string]string{
-		"question":  query,
-		"operators": strings.Join(ops.Names(), ", "),
-	}))
+	resp, err := llm.Do(ctx, planRec, llm.NewRequest("plan_oneshot",
+		llm.Text("question", query),
+		llm.Text("operators", strings.Join(ops.Names(), ", ")),
+	))
 	if err != nil {
 		return Result{}, err
 	}

@@ -68,9 +68,9 @@ func (r *RecurRAG) Name() string { return "RecurRAG" }
 // Run implements Baseline.
 func (r *RecurRAG) Run(ctx context.Context, query string) (Result, error) {
 	rec := llm.NewRecorder(r.Client)
-	resp, err := rec.Complete(ctx, llm.BuildPrompt("decompose", map[string]string{
-		"question": query,
-	}))
+	resp, err := llm.Do(ctx, rec, llm.NewRequest("decompose",
+		llm.Text("question", query),
+	))
 	if err != nil {
 		return Result{}, err
 	}

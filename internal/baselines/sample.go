@@ -61,11 +61,11 @@ func (b *Sample) Run(ctx context.Context, query string) (Result, error) {
 		// Each step re-emits the cumulated intermediate results (the
 		// "iteratively outputs intermediate results" of the paper),
 		// so both prompt and output grow as the scan progresses.
-		resp, err := rec.Complete(ctx, llm.BuildPrompt("sample_chunk", map[string]string{
-			"question": query,
-			"docs":     llm.JoinDocs(texts),
-			"state":    strings.Join(partials, "; "),
-		}))
+		resp, err := llm.Do(ctx, rec, llm.NewRequest("sample_chunk",
+			llm.Text("question", query),
+			llm.Docs("docs", texts),
+			llm.Text("state", strings.Join(partials, "; ")),
+		))
 		if err != nil {
 			return Result{}, err
 		}
@@ -78,11 +78,11 @@ func (b *Sample) Run(ctx context.Context, query string) (Result, error) {
 		}
 	}
 	scale := float64(n) / float64(len(sample))
-	resp, err := rec.Complete(ctx, llm.BuildPrompt("sample_combine", map[string]string{
-		"question": query,
-		"partials": strings.Join(partials, "\n"),
-		"scale":    trimFloat(scale),
-	}))
+	resp, err := llm.Do(ctx, rec, llm.NewRequest("sample_combine",
+		llm.Text("question", query),
+		llm.Text("partials", strings.Join(partials, "\n")),
+		llm.Text("scale", trimFloat(scale)),
+	))
 	if err != nil {
 		return Result{}, err
 	}

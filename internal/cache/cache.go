@@ -18,7 +18,9 @@ package cache
 
 import (
 	"container/list"
+	"errors"
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -118,28 +120,70 @@ func (ls *layerStats) snapshot() Stats {
 	}
 }
 
+// Key identifies an entry within a layer without being one string. The
+// LRU finds entries by a 64-bit digest of the bytes HashTo streams and
+// then verifies Equal on every digest match, so two keys share an entry
+// exactly when they are Equal — a digest collision costs a comparison,
+// never a wrong answer. Equal keys must stream equal bytes. A key is
+// retained for as long as its entry lives and is read concurrently:
+// treat it as immutable.
+type Key interface {
+	// HashTo streams the key's identity into h.
+	HashTo(h *maphash.Hash)
+	// Equal reports whether other names the same entry.
+	Equal(other Key) bool
+	// Len is the key's share of the entry's byte cost.
+	Len() int
+}
+
+// StringKey is a Key that is one string.
+type StringKey string
+
+// HashTo implements Key.
+func (k StringKey) HashTo(h *maphash.Hash) { h.WriteString(string(k)) }
+
+// Equal implements Key.
+func (k StringKey) Equal(other Key) bool {
+	o, ok := other.(StringKey)
+	return ok && o == k
+}
+
+// Len implements Key.
+func (k StringKey) Len() int { return len(k) }
+
+// ErrComputePanicked is what the waiters of a coalesced lookup receive
+// when the computation they joined panicked; the panic itself continues
+// up the computing goroutine's stack.
+var ErrComputePanicked = errors.New("cache: computation panicked")
+
 // entry is one cached value with its accounting metadata.
 type entry struct {
-	key   string // full key (layer-prefixed)
+	hash  uint64 // digest of (layer name, key)
+	key   Key
 	val   any
 	bytes int64
 	layer *layerStats
+	el    *list.Element
+	next  *entry // next entry with the same digest
 }
 
 // flight is one in-progress computation that concurrent identical lookups
 // join.
 type flight struct {
-	done chan struct{}
-	val  any
-	err  error
+	hash  uint64
+	key   Key
+	layer *layerStats
+	done  chan struct{}
+	val   any
+	err   error
 }
 
 // shard is one lock domain of the LRU.
 type shard struct {
 	mu       sync.Mutex
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*flight
+	ll       *list.List        // front = most recently used
+	items    map[uint64]*entry // digest -> collision chain
+	inflight []*flight         // a handful at most: scanned, not indexed
 	bytes    int64
 	budget   int64
 }
@@ -195,10 +239,9 @@ func New(maxBytes int64, opts ...Option) *LRU {
 	per := maxBytes / int64(len(l.shards))
 	for i := range l.shards {
 		l.shards[i] = &shard{
-			ll:       list.New(),
-			items:    map[string]*list.Element{},
-			inflight: map[string]*flight{},
-			budget:   per,
+			ll:     list.New(),
+			items:  map[uint64]*entry{},
+			budget: per,
 		}
 	}
 	return l
@@ -206,11 +249,16 @@ func New(maxBytes int64, opts ...Option) *LRU {
 
 const layerSep = "\x1f"
 
-func (l *LRU) shardFor(key string) *shard {
+// locate digests (layer name, key) and returns the digest with the shard
+// it selects.
+func (l *LRU) locate(ls *layerStats, key Key) (uint64, *shard) {
 	var h maphash.Hash
 	h.SetSeed(l.seed)
-	h.WriteString(key)
-	return l.shards[h.Sum64()&uint64(len(l.shards)-1)]
+	h.WriteString(ls.name)
+	h.WriteString(layerSep)
+	key.HashTo(&h)
+	sum := h.Sum64()
+	return sum, l.shards[sum&uint64(len(l.shards)-1)]
 }
 
 func (l *LRU) layer(name string) *layerStats {
@@ -230,23 +278,42 @@ func (l *LRU) emit(layer string, ev Event, n int) {
 	}
 }
 
+// findLocked walks the digest's collision chain for the entry whose layer
+// and key are the ones asked for. Caller holds sh.mu.
+func (sh *shard) findLocked(hash uint64, ls *layerStats, key Key) *entry {
+	for e := sh.items[hash]; e != nil; e = e.next {
+		if e.layer == ls && e.key.Equal(key) {
+			return e
+		}
+	}
+	return nil
+}
+
 // lookupLocked returns the value for key, marking it most recently used.
 // Caller holds sh.mu.
-func (sh *shard) lookupLocked(key string) (any, bool) {
-	el, ok := sh.items[key]
-	if !ok {
+func (sh *shard) lookupLocked(hash uint64, ls *layerStats, key Key) (any, bool) {
+	e := sh.findLocked(hash, ls, key)
+	if e == nil {
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	sh.ll.MoveToFront(e.el)
+	return e.val, true
 }
 
 // removeLocked unlinks an entry and updates its layer accounting. Caller
 // holds sh.mu.
-func (sh *shard) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	sh.ll.Remove(el)
-	delete(sh.items, e.key)
+func (sh *shard) removeLocked(e *entry) {
+	sh.ll.Remove(e.el)
+	if head := sh.items[e.hash]; head != e {
+		for head.next != e {
+			head = head.next
+		}
+		head.next = e.next
+	} else if e.next != nil {
+		sh.items[e.hash] = e.next
+	} else {
+		delete(sh.items, e.hash)
+	}
 	sh.bytes -= e.bytes
 	e.layer.entries.Add(-1)
 	e.layer.bytes.Add(-e.bytes)
@@ -256,35 +323,35 @@ func (sh *shard) removeLocked(el *list.Element) {
 // insertLocked adds or replaces an entry, then evicts from the LRU tail
 // until the shard respects its budget. Returns the layers that lost
 // entries (for event emission outside the lock). Caller holds sh.mu.
-func (sh *shard) insertLocked(key string, val any, cost int64, ls *layerStats) []*layerStats {
-	if el, ok := sh.items[key]; ok {
-		sh.removeLocked(el)
+func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *layerStats) []*layerStats {
+	if old := sh.findLocked(hash, ls, key); old != nil {
+		sh.removeLocked(old)
 		// Replacing an entry is not an eviction; undo the count.
-		el.Value.(*entry).layer.evictions.Add(^uint64(0))
+		ls.evictions.Add(^uint64(0))
 	}
-	e := &entry{key: key, val: val, bytes: cost, layer: ls}
-	sh.items[key] = sh.ll.PushFront(e)
+	e := &entry{hash: hash, key: key, val: val, bytes: cost, layer: ls, next: sh.items[hash]}
+	e.el = sh.ll.PushFront(e)
+	sh.items[hash] = e
 	sh.bytes += cost
 	ls.entries.Add(1)
 	ls.bytes.Add(cost)
 	var evicted []*layerStats
 	for sh.bytes > sh.budget && sh.ll.Len() > 0 {
-		back := sh.ll.Back()
-		evicted = append(evicted, back.Value.(*entry).layer)
+		back := sh.ll.Back().Value.(*entry)
+		evicted = append(evicted, back.layer)
 		sh.removeLocked(back)
 	}
 	return evicted
 }
 
 // get returns the cached value for (layer, key).
-func (l *LRU) get(ls *layerStats, key string) (any, bool) {
+func (l *LRU) get(ls *layerStats, key Key) (any, bool) {
 	if l == nil {
 		return nil, false
 	}
-	full := ls.name + layerSep + key
-	sh := l.shardFor(full)
+	hash, sh := l.locate(ls, key)
 	sh.mu.Lock()
-	v, ok := sh.lookupLocked(full)
+	v, ok := sh.lookupLocked(hash, ls, key)
 	sh.mu.Unlock()
 	if ok {
 		ls.hits.Add(1)
@@ -297,17 +364,16 @@ func (l *LRU) get(ls *layerStats, key string) (any, bool) {
 }
 
 // put inserts a value.
-func (l *LRU) put(ls *layerStats, key string, val any, cost int64) {
+func (l *LRU) put(ls *layerStats, key Key, val any, cost int64) {
 	if l == nil {
 		return
 	}
 	if cost < 1 {
 		cost = 1
 	}
-	full := ls.name + layerSep + key
-	sh := l.shardFor(full)
+	hash, sh := l.locate(ls, key)
 	sh.mu.Lock()
-	evicted := sh.insertLocked(full, val, cost, ls)
+	evicted := sh.insertLocked(hash, key, val, cost, ls)
 	sh.mu.Unlock()
 	for _, el := range evicted {
 		l.emit(el.name, EventEvict, 1)
@@ -318,21 +384,23 @@ func (l *LRU) put(ls *layerStats, key string, val any, cost int64) {
 // caller computes, concurrent identical callers wait for its result. The
 // boolean reports whether the caller avoided the computation (cache hit
 // or coalesced wait).
-func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func() (any, error)) (any, bool, error) {
+func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (any, error)) (any, bool, error) {
 	if l == nil {
 		v, err := compute()
 		return v, false, err
 	}
-	full := ls.name + layerSep + key
-	sh := l.shardFor(full)
+	hash, sh := l.locate(ls, key)
 	sh.mu.Lock()
-	if v, ok := sh.lookupLocked(full); ok {
+	if v, ok := sh.lookupLocked(hash, ls, key); ok {
 		sh.mu.Unlock()
 		ls.hits.Add(1)
 		l.emit(ls.name, EventHit, 1)
 		return v, true, nil
 	}
-	if f, exists := sh.inflight[full]; exists {
+	for _, f := range sh.inflight {
+		if f.hash != hash || f.layer != ls || !f.key.Equal(key) {
+			continue
+		}
 		sh.mu.Unlock()
 		<-f.done
 		if f.err != nil {
@@ -346,31 +414,35 @@ func (l *LRU) do(ls *layerStats, key string, cost func(any) int64, compute func(
 		l.emit(ls.name, EventCoalesce, 1)
 		return f.val, true, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	sh.inflight[full] = f
+	// Until compute returns, the flight's outcome is "panicked": the
+	// deferred block below runs on a panic too, so the flight always
+	// leaves inflight and its waiters always wake.
+	f := &flight{hash: hash, key: key, layer: ls, done: make(chan struct{}), err: ErrComputePanicked}
+	sh.inflight = append(sh.inflight, f)
 	sh.mu.Unlock()
 	ls.misses.Add(1)
 	l.emit(ls.name, EventMiss, 1)
 
-	val, err := compute()
-	f.val, f.err = val, err
-
-	sh.mu.Lock()
-	delete(sh.inflight, full)
-	var evicted []*layerStats
-	if err == nil {
-		c := cost(val)
-		if c < 1 {
-			c = 1
+	defer func() {
+		sh.mu.Lock()
+		i := slices.Index(sh.inflight, f)
+		sh.inflight = slices.Delete(sh.inflight, i, i+1)
+		var evicted []*layerStats
+		if f.err == nil {
+			c := cost(f.val)
+			if c < 1 {
+				c = 1
+			}
+			evicted = sh.insertLocked(hash, key, f.val, c, ls)
 		}
-		evicted = sh.insertLocked(full, val, c, ls)
-	}
-	sh.mu.Unlock()
-	close(f.done)
-	for _, el := range evicted {
-		l.emit(el.name, EventEvict, 1)
-	}
-	return val, false, err
+		sh.mu.Unlock()
+		close(f.done)
+		for _, el := range evicted {
+			l.emit(el.name, EventEvict, 1)
+		}
+	}()
+	f.val, f.err = compute()
+	return f.val, false, f.err
 }
 
 // Stats aggregates every layer's counters.
@@ -456,7 +528,7 @@ func (l *Layer[V]) Get(key string) (V, bool) {
 	if l == nil {
 		return zero, false
 	}
-	v, ok := l.lru.get(l.stats, key)
+	v, ok := l.lru.get(l.stats, StringKey(key))
 	if !ok {
 		return zero, false
 	}
@@ -468,19 +540,26 @@ func (l *Layer[V]) Put(key string, v V) {
 	if l == nil {
 		return
 	}
-	l.lru.put(l.stats, key, v, l.cost(v)+int64(len(key)))
+	l.lru.put(l.stats, StringKey(key), v, l.cost(v)+int64(len(key)))
 }
 
 // GetOrCompute returns the cached value for key, computing and caching it
 // on a miss while coalescing concurrent identical lookups. The boolean
 // reports whether the computation was avoided (hit or coalesced).
 func (l *Layer[V]) GetOrCompute(key string, compute func() (V, error)) (V, bool, error) {
+	return l.GetOrComputeKey(StringKey(key), compute)
+}
+
+// GetOrComputeKey is GetOrCompute for a structured key. The key is
+// retained with the entry it creates; an entry is charged the value's
+// cost plus key.Len().
+func (l *Layer[V]) GetOrComputeKey(key Key, compute func() (V, error)) (V, bool, error) {
 	if l == nil {
 		v, err := compute()
 		return v, false, err
 	}
 	v, hit, err := l.lru.do(l.stats, key,
-		func(a any) int64 { return l.cost(a.(V)) + int64(len(key)) },
+		func(a any) int64 { return l.cost(a.(V)) + int64(key.Len()) },
 		func() (any, error) { return compute() })
 	if err != nil {
 		var zero V

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -225,5 +226,166 @@ func TestLayerStatsByName(t *testing.T) {
 	tot := l.Stats()
 	if tot.Hits != 1 || tot.Misses != 1 {
 		t.Fatalf("aggregate stats = %+v", tot)
+	}
+}
+
+// collidingKey is a Key whose digest says nothing beyond its group:
+// every key of a group lands on one collision chain, so only Equal
+// tells them apart.
+type collidingKey struct{ group, name string }
+
+func (k collidingKey) HashTo(h *maphash.Hash) { h.WriteString(k.group) }
+func (k collidingKey) Equal(o Key) bool {
+	ok, is := o.(collidingKey)
+	return is && ok == k
+}
+func (k collidingKey) Len() int { return len(k.name) }
+
+// TestCollidingKeysStayDistinct is the cache's exactness under the worst
+// digest there is: distinct keys keep distinct values, and replacing or
+// evicting the head, the middle or the tail of a collision chain loses
+// no other entry and moves no counter it should not.
+func TestCollidingKeysStayDistinct(t *testing.T) {
+	const cost = 10
+	names := []string{"a", "b", "c"} // chain after the inserts: c -> b -> a
+	for pos, victim := range map[string]string{"head": "c", "middle": "b", "tail": "a"} {
+		for _, via := range []string{"replace", "evict"} {
+			t.Run(pos+"/"+via, func(t *testing.T) {
+				l := New(3*cost, WithShards(1))
+				lay := NewLayer[string](l, "x", func(string) int64 { return cost })
+				get := func(name string) (string, bool) {
+					v, ok := l.get(lay.stats, collidingKey{"g", name})
+					s, _ := v.(string)
+					return s, ok
+				}
+				for _, n := range names {
+					l.put(lay.stats, collidingKey{"g", n}, "v-"+n, cost)
+				}
+				if got := len(l.shards[0].items); got != 1 {
+					t.Fatalf("%d digests for three colliding keys, want 1", got)
+				}
+				for _, n := range names {
+					if v, ok := get(n); !ok || v != "v-"+n {
+						t.Fatalf("get(%s) = %q, %v", n, v, ok)
+					}
+				}
+				want := map[string]string{"a": "v-a", "b": "v-b", "c": "v-c"}
+				switch via {
+				case "replace":
+					l.put(lay.stats, collidingKey{"g", victim}, "new", cost)
+					want[victim] = "new"
+				case "evict":
+					// Make the victim the least recently used, then push
+					// it out from another chain.
+					for _, n := range names {
+						if n != victim {
+							get(n)
+						}
+					}
+					l.put(lay.stats, collidingKey{"other", "d"}, "v-d", cost)
+					delete(want, victim)
+				}
+				for _, n := range names {
+					v, ok := get(n)
+					if w, live := want[n]; ok != live || v != w {
+						t.Errorf("after %s of %s: get(%s) = %q, %v; want %q, %v", via, victim, n, v, ok, w, live)
+					}
+				}
+				st := lay.Stats()
+				wantEvictions := map[string]uint64{"replace": 0, "evict": 1}[via]
+				if st.Evictions != wantEvictions || st.Entries != 3 || st.Bytes != 3*cost || l.Len() != 3 || l.Bytes() != 3*cost {
+					t.Errorf("after %s: stats %+v, lru len %d bytes %d; want %d evictions, 3 entries, %d bytes", via, st, l.Len(), l.Bytes(), wantEvictions, 3*cost)
+				}
+			})
+		}
+	}
+}
+
+// TestCollidingKeysCoalesceOnlyWhenEqual: a lookup joins an in-flight
+// computation of an Equal key, never one that merely shares its digest.
+func TestCollidingKeysCoalesceOnlyWhenEqual(t *testing.T) {
+	lay := NewLayer[string](New(1<<20), "x", nil)
+	gate := make(chan struct{})
+	leading := make(chan struct{})
+	var wg sync.WaitGroup
+	var computes atomic.Int64
+	lookup := func(name string, compute func() (string, error)) {
+		defer wg.Done()
+		v, _, err := lay.GetOrComputeKey(collidingKey{"g", name}, compute)
+		if err != nil || v != "v-"+name {
+			t.Errorf("lookup(%s) = %q, %v", name, v, err)
+		}
+	}
+	wg.Add(2)
+	go lookup("a", func() (string, error) {
+		computes.Add(1)
+		close(leading)
+		<-gate
+		return "v-a", nil
+	})
+	<-leading
+	go lookup("a", func() (string, error) { computes.Add(1); return "v-a", nil })
+	// Same digest, different key: computes at once, beside a's flight.
+	wg.Add(1)
+	lookup("b", func() (string, error) { computes.Add(1); return "v-b", nil })
+	time.Sleep(50 * time.Millisecond) // let the follower reach a's flight
+	close(gate)
+	wg.Wait()
+	st := lay.Stats()
+	if c := computes.Load(); c != 2 || st.Coalesced != 1 || st.Misses != 2 || st.Hits != 1 || st.Entries != 2 {
+		t.Fatalf("computes = %d, stats = %+v; want 2 computes (a and b), a's follower coalesced", c, st)
+	}
+}
+
+// TestGetOrComputePanicDoesNotWedgeKey: a computation that panics must
+// not leave its flight behind. Before the deferred clean-up, the second
+// lookup of the key — and every one after — blocked forever.
+func TestGetOrComputePanicDoesNotWedgeKey(t *testing.T) {
+	lay := NewLayer[int](New(1<<20, WithShards(1)), "p", nil)
+	joined := make(chan struct{})
+	waiter := make(chan error, 1)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the computation's own panic", r)
+			}
+		}()
+		lay.GetOrCompute("k", func() (int, error) {
+			go func() {
+				close(joined)
+				_, _, err := lay.GetOrCompute("k", func() (int, error) { return 2, nil })
+				waiter <- err
+			}()
+			<-joined
+			time.Sleep(20 * time.Millisecond) // let the waiter reach the flight
+			panic("boom")
+		})
+	}()
+	deadline := time.After(10 * time.Second)
+	select {
+	case err := <-waiter:
+		// Joined the flight (woken with the error) or arrived after it
+		// was cleaned up (computed 2 itself): either way it returned.
+		if err != nil && !errors.Is(err, ErrComputePanicked) {
+			t.Errorf("waiter err = %v", err)
+		}
+	case <-deadline:
+		t.Fatal("a lookup that joined the panicked flight never woke")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, _, err := lay.GetOrCompute("k", func() (int, error) { return 3, nil })
+		if err != nil || (v != 2 && v != 3) {
+			t.Errorf("lookup after the panic = %d, %v", v, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-deadline:
+		t.Fatal("the key is wedged: a lookup after the panic never returned")
+	}
+	if n := len(lay.lru.shards[0].inflight); n != 0 {
+		t.Errorf("%d flights left behind", n)
 	}
 }

@@ -124,8 +124,8 @@ func (s *searchState) clone() *searchState {
 
 // ask issues one planning prompt and returns its text, charging the
 // call's simulated duration to the current iteration span.
-func (ps *planSession) ask(task string, fields map[string]string) (string, error) {
-	resp, err := ps.traced.Complete(ps.ctx, llm.BuildPrompt(task, fields))
+func (ps *planSession) ask(task string, fields ...llm.Field) (string, error) {
+	resp, err := ps.traced.Do(ps.ctx, llm.NewRequest(task, fields...))
 	if err != nil {
 		return "", err
 	}
@@ -213,7 +213,7 @@ func (ps *planSession) genPlan(st *searchState, depth int) error {
 	defer leave()
 	span.SetAttr("subquery", st.query)
 	// End of reduction (SimpleQuestion).
-	ans, err := ps.ask("simple_question", map[string]string{"query": st.query})
+	ans, err := ps.ask("simple_question", llm.Text("query", st.query))
 	if err != nil {
 		return err
 	}
@@ -244,11 +244,11 @@ func (ps *planSession) genPlan(st *searchState, depth int) error {
 	var rankedList []ranked
 	varDescs := describeVars(st.vars)
 	for i, c := range candidates {
-		deg, err := ps.ask("rerank_op", map[string]string{
-			"query":    st.query,
-			"operator": c.op,
-			"vars":     varDescs,
-		})
+		deg, err := ps.ask("rerank_op",
+			llm.Text("query", st.query),
+			llm.Text("operator", c.op),
+			llm.Text("vars", varDescs),
+		)
 		if err != nil {
 			return err
 		}
@@ -318,7 +318,7 @@ type opCandidate struct {
 func (ps *planSession) matchOperators(query string) ([]opCandidate, error) {
 	span, leave := ps.enter("semantic_parse", obs.KindPhase)
 	defer leave()
-	out, err := ps.ask("parse_query", map[string]string{"query": query})
+	out, err := ps.ask("parse_query", llm.Text("query", query))
 	if err != nil {
 		return nil, err
 	}
@@ -360,13 +360,13 @@ func (ps *planSession) matchOperators(query string) ([]opCandidate, error) {
 // operator, extracts the operator arguments from the rewritten segment,
 // and extends the plan with dependency checking (paper §V-B, §V-C).
 func (ps *planSession) tryReduce(st *searchState, cand opCandidate, variant int) (*searchState, bool, error) {
-	out, err := ps.ask("reduce_query", map[string]string{
-		"query":    st.query,
-		"operator": cand.op,
-		"lr":       cand.lr,
-		"next":     strconv.Itoa(ps.nextVar),
-		"variant":  strconv.Itoa(variant),
-	})
+	out, err := ps.ask("reduce_query",
+		llm.Text("query", st.query),
+		llm.Text("operator", cand.op),
+		llm.Text("lr", cand.lr),
+		llm.Text("next", strconv.Itoa(ps.nextVar)),
+		llm.Text("variant", strconv.Itoa(variant)),
+	)
 	if err != nil {
 		return nil, false, err
 	}
@@ -448,10 +448,10 @@ func (ps *planSession) findDeps(plan *Plan, node *Node) ([]int, error) {
 			markAncestors(plan, prev, isAncestor)
 			continue
 		}
-		ans, err := ps.ask("dep_check", map[string]string{
-			"output": "{" + prev.OutVar + "}",
-			"inputs": inputs,
-		})
+		ans, err := ps.ask("dep_check",
+			llm.Text("output", "{"+prev.OutVar+"}"),
+			llm.Text("inputs", inputs),
+		)
 		if err != nil {
 			return nil, err
 		}

@@ -219,13 +219,21 @@ func draw(seed uint64, rule int, prompt string, occ int, rate float64) bool {
 	return float64(h.Sum64()>>11)/(1<<53) < rate
 }
 
-// Complete implements llm.Client. The first matching rule whose draw
-// fires decides the call's fate; otherwise the call passes through.
+// Complete implements llm.Client.
 func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, error) {
+	return c.Do(ctx, llm.RawRequest(prompt))
+}
+
+// Do implements llm.Doer. The first matching rule whose draw fires
+// decides the call's fate; otherwise the call passes through. With no
+// plan in force the request passes through unread; an active plan keys
+// its draws by the prompt's bytes, so it renders them.
+func (c *Client) Do(ctx context.Context, req *llm.Request) (llm.Response, error) {
 	if c.plan == nil || len(c.plan.Rules) == 0 || !c.enabled() {
-		return c.inner.Complete(ctx, prompt)
+		return llm.Do(ctx, c.inner, req)
 	}
-	task := llm.TaskOf(prompt)
+	task := req.Task()
+	prompt := req.Prompt()
 	occ := c.nextOcc(prompt)
 	for ri := range c.plan.Rules {
 		r := &c.plan.Rules[ri]
@@ -246,7 +254,7 @@ func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, err
 			return llm.Response{}, &Error{Kind: Timeout, Task: task, VDur: lat,
 				err: fmt.Errorf("%w: %w", llm.ErrTransient, context.DeadlineExceeded)}
 		case Slow:
-			resp, err := c.inner.Complete(ctx, prompt)
+			resp, err := llm.Do(ctx, c.inner, req)
 			if err != nil || resp.Cached {
 				return resp, err
 			}
@@ -258,7 +266,7 @@ func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, err
 			resp.Dur = time.Duration(float64(resp.Dur) * f)
 			return resp, nil
 		case Garbage:
-			resp, err := c.inner.Complete(ctx, prompt)
+			resp, err := llm.Do(ctx, c.inner, req)
 			if err != nil {
 				return resp, err
 			}
@@ -268,7 +276,7 @@ func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, err
 			return resp, nil
 		}
 	}
-	return c.inner.Complete(ctx, prompt)
+	return llm.Do(ctx, c.inner, req)
 }
 
 // garble corrupts a response deterministically: it truncates the text and

@@ -109,14 +109,20 @@ func NewBatching(inner Client) *Batching { return &Batching{inner: inner} }
 
 // Complete implements Client.
 func (b *Batching) Complete(ctx context.Context, prompt string) (Response, error) {
-	resp, err := b.inner.Complete(ctx, prompt)
+	return b.Do(ctx, RawRequest(prompt))
+}
+
+// Do implements Doer.
+func (b *Batching) Do(ctx context.Context, req *Request) (Response, error) {
+	resp, err := Do(ctx, b.inner, req)
 	if err != nil {
 		return resp, err
 	}
 	// Cached responses never occupy a slot, so there is nothing to
-	// coalesce; leave them unstamped.
+	// coalesce; leave them unstamped. An uncached response means a model
+	// read the prompt, so the text BatchKeyFor parses is already rendered.
 	if !resp.Cached {
-		if key, pk, tmpl, ok := BatchKeyFor(prompt, b.inner.Profile().Name); ok {
+		if key, pk, tmpl, ok := BatchKeyFor(req.Prompt(), b.inner.Profile().Name); ok {
 			resp.BatchKey = key
 			resp.PayloadKey = pk
 			resp.TemplateTokens = tmpl

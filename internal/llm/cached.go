@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"hash/maphash"
 
 	"unify/internal/cache"
 )
@@ -30,12 +31,40 @@ func NewCached(inner Client, layer *cache.Layer[Response]) *Cached {
 	return &Cached{inner: inner, layer: layer}
 }
 
-// Complete implements Client. The cache key includes the model name so
-// planner and worker models wrapped over one layer never collide.
+// cacheKey is what the llm layer retains per entry: the model name, so
+// planner and worker models wrapped over one layer never collide, and
+// the request's parts — document strings the docstore already holds —
+// never its rendering. It hashes, compares and is priced as the string
+// model + "\x1f" + prompt would be.
+type cacheKey struct {
+	model string
+	body
+}
+
+func (k *cacheKey) HashTo(h *maphash.Hash) {
+	h.WriteString(k.model)
+	h.WriteString("\x1f")
+	k.body.HashTo(h)
+}
+
+func (k *cacheKey) Equal(other cache.Key) bool {
+	o, ok := other.(*cacheKey)
+	return ok && o.model == k.model && k.body.equal(&o.body)
+}
+
+func (k *cacheKey) Len() int { return len(k.model) + 1 + k.body.Len() }
+
+// Complete implements Client.
 func (c *Cached) Complete(ctx context.Context, prompt string) (Response, error) {
-	key := c.inner.Profile().Name + "\x1f" + prompt
-	resp, hit, err := c.layer.GetOrCompute(key, func() (Response, error) {
-		return c.inner.Complete(ctx, prompt)
+	return c.Do(ctx, RawRequest(prompt))
+}
+
+// Do implements Doer. A hit renders nothing; a miss hands req on, and
+// the prompt is rendered where a model has to read it.
+func (c *Cached) Do(ctx context.Context, req *Request) (Response, error) {
+	key := &cacheKey{model: c.inner.Profile().Name, body: req.body}
+	resp, hit, err := c.layer.GetOrComputeKey(key, func() (Response, error) {
+		return Do(ctx, c.inner, req)
 	})
 	if err != nil {
 		return Response{}, err

@@ -3,9 +3,10 @@
 // and provides Sim, a deterministic simulated backend that substitutes for
 // the paper's locally served Llama models.
 //
-// All components speak to the model through Client.Complete with textual
-// prompts in a fixed directive format (see prompt.go) and receive textual
-// responses plus token counts and a simulated duration. The simulated
+// All components describe a call as a Request (request.go) and send it
+// with Do; a model receives it through Client.Complete as a textual prompt
+// in a fixed directive format (see prompt.go) and answers with text plus
+// token counts and a simulated duration. The simulated
 // duration follows the paper's §VI-A cost model: time is proportional to
 // output tokens, with input tokens contributing negligibly.
 package llm
@@ -160,14 +161,19 @@ func NewRecorder(inner Client) *Recorder {
 	return &Recorder{inner: inner}
 }
 
-// Complete implements Client, recording the call.
+// Complete implements Client.
 func (r *Recorder) Complete(ctx context.Context, prompt string) (Response, error) {
-	resp, err := r.inner.Complete(ctx, prompt)
+	return r.Do(ctx, RawRequest(prompt))
+}
+
+// Do implements Doer, recording the call.
+func (r *Recorder) Do(ctx context.Context, req *Request) (Response, error) {
+	resp, err := Do(ctx, r.inner, req)
 	if err != nil {
 		return resp, err
 	}
 	r.mu.Lock()
-	r.calls = append(r.calls, Call{Task: TaskOf(prompt), InTokens: resp.InTokens, OutTokens: resp.OutTokens, Dur: resp.Dur, Cached: resp.Cached, Retries: resp.Retries, BatchKey: resp.BatchKey, TemplateTokens: resp.TemplateTokens, PayloadKey: resp.PayloadKey})
+	r.calls = append(r.calls, Call{Task: req.Task(), InTokens: resp.InTokens, OutTokens: resp.OutTokens, Dur: resp.Dur, Cached: resp.Cached, Retries: resp.Retries, BatchKey: resp.BatchKey, TemplateTokens: resp.TemplateTokens, PayloadKey: resp.PayloadKey})
 	r.mu.Unlock()
 	return resp, nil
 }

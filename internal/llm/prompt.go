@@ -1,10 +1,6 @@
 package llm
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Prompts exchanged with the model follow a fixed directive format that
 // plays the role of the paper's few-shot prompt templates with enforced
@@ -17,23 +13,17 @@ import (
 //	Title: ...
 //	#END
 //
-// BuildPrompt and ParsePrompt are the only writers/readers of this format.
+// Request (request.go) is the only writer of this format and ParsePrompt
+// its only reader.
 
 // BuildPrompt renders a task directive with its fields (sorted by key for
 // determinism, so identical logical requests produce identical prompts).
 func BuildPrompt(task string, fields map[string]string) string {
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
+	fs := make([]Field, 0, len(fields))
+	for k, v := range fields {
+		fs = append(fs, Text(k, v))
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	fmt.Fprintf(&b, "#TASK %s\n", task)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "#FIELD %s\n%s\n", k, fields[k])
-	}
-	b.WriteString("#END")
-	return b.String()
+	return NewRequest(task, fs...).Prompt()
 }
 
 // TaskOf returns the task name on a prompt's first line, or "" exactly

@@ -2,9 +2,11 @@ package llm
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,8 +15,23 @@ import (
 
 // Reference implementations: the call path as it was written before it
 // stopped splitting, copying and allocating. The differential tests and
-// fuzz targets hold ParsePrompt, TaskOf, CountTokens, chance and pick to
-// them bit for bit.
+// fuzz targets hold Request, ParsePrompt, TaskOf, CountTokens, chance and
+// pick to them bit for bit.
+
+func refBuildPrompt(task string, fields map[string]string) string {
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "#TASK %s\n", task)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "#FIELD %s\n%s\n", k, fields[k])
+	}
+	b.WriteString("#END")
+	return b.String()
+}
 
 func refParsePrompt(prompt string) (task string, fields map[string]string, ok bool) {
 	lines := strings.Split(prompt, "\n")
@@ -261,6 +278,8 @@ func TestCallPathAllocations(t *testing.T) {
 		t.Errorf("Sim.Complete(filter_batch, 16 docs) allocates %v times, ceiling %d", allocs, filterBatchAllocCeiling)
 	}
 	t.Logf("Sim.Complete(filter_batch, 16 docs): %v allocs", allocs)
+
+	checkCachedDoAllocations(t, ds)
 }
 
 var benchTask string

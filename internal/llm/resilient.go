@@ -72,16 +72,21 @@ func NewResilient(inner Client, pol RetryPolicy, onEvent func(event, task string
 
 // Complete implements Client.
 func (r *Resilient) Complete(ctx context.Context, prompt string) (Response, error) {
-	task := TaskOf(prompt)
+	return r.Do(ctx, RawRequest(prompt))
+}
+
+// Do implements Doer.
+func (r *Resilient) Do(ctx context.Context, req *Request) (Response, error) {
+	task := req.Task()
 	if task == "" {
 		task = "unknown"
 	}
 	var penalty time.Duration // virtual cost of failed attempts + backoffs
 	var lastErr error
 	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
-		resp, err := r.attempt(ctx, prompt)
+		resp, err := r.attempt(ctx, req)
 		if err == nil {
-			resp = r.maybeHedge(ctx, prompt, task, resp)
+			resp = r.maybeHedge(ctx, req, task, resp)
 			if !resp.Cached && penalty > 0 {
 				resp.Dur += penalty
 			}
@@ -97,7 +102,7 @@ func (r *Resilient) Complete(ctx context.Context, prompt string) (Response, erro
 		lastErr = err
 		penalty += FaultDurOf(err, r.inner.Profile())
 		if attempt+1 < r.pol.MaxAttempts {
-			penalty += r.backoff(prompt, attempt)
+			penalty += r.backoff(req.Prompt(), attempt)
 			r.emit("retry", task)
 		}
 	}
@@ -106,24 +111,24 @@ func (r *Resilient) Complete(ctx context.Context, prompt string) (Response, erro
 }
 
 // attempt runs one try under the per-call timeout.
-func (r *Resilient) attempt(ctx context.Context, prompt string) (Response, error) {
+func (r *Resilient) attempt(ctx context.Context, req *Request) (Response, error) {
 	if r.pol.CallTimeout > 0 {
 		actx, cancel := context.WithTimeout(ctx, r.pol.CallTimeout)
 		defer cancel()
 		ctx = actx
 	}
-	return r.inner.Complete(ctx, prompt)
+	return Do(ctx, r.inner, req)
 }
 
 // maybeHedge issues one backup request when a successful response was hit
 // by a latency spike, keeping the faster of the two outcomes. The backup
 // is charged the hedge delay (it starts HedgeAfter into the primary call)
 // and runs on a different slot of the pool.
-func (r *Resilient) maybeHedge(ctx context.Context, prompt, task string, primary Response) Response {
+func (r *Resilient) maybeHedge(ctx context.Context, req *Request, task string, primary Response) Response {
 	if r.pol.HedgeAfter <= 0 || primary.Cached || primary.Dur <= r.pol.HedgeAfter {
 		return primary
 	}
-	backup, err := r.inner.Complete(ctx, prompt)
+	backup, err := Do(ctx, r.inner, req)
 	r.emit("hedge", task)
 	if err != nil {
 		return primary

@@ -46,12 +46,17 @@ func (t *Traced) parent() *obs.Span {
 
 // Complete implements Client.
 func (t *Traced) Complete(ctx context.Context, prompt string) (Response, error) {
-	resp, err := t.inner.Complete(ctx, prompt)
+	return t.Do(ctx, RawRequest(prompt))
+}
+
+// Do implements Doer.
+func (t *Traced) Do(ctx context.Context, req *Request) (Response, error) {
+	resp, err := Do(ctx, t.inner, req)
 	if err != nil {
 		return resp, err
 	}
 	if p := t.parent(); p != nil {
-		task := TaskOf(prompt)
+		task := req.Task()
 		if task == "" {
 			task = "unknown"
 		}

@@ -228,35 +228,79 @@ func NormalizeConcept(s string) string {
 	return s
 }
 
-// Field regexes for the structured part of a rendered document.
-var (
-	reViews  = regexp.MustCompile(`(?mi)^Views:\s*(\d+)`)
-	reScore  = regexp.MustCompile(`(?mi)^Score:\s*(-?\d+)`)
-	rePosted = regexp.MustCompile(`(?mi)^Posted:\s*(\d{4})`)
-)
-
 // ExtractField pulls a numeric field ("views", "score", "year") out of a
 // rendered document's text. ok is false when the field is absent.
+//
+// It returns what the leftmost match of `(?mi)^Views:\s*(\d+)`,
+// `(?mi)^Score:\s*(-?\d+)` or `(?mi)^Posted:\s*(\d{4})` would (the test
+// file keeps those regexes as the reference), scanning line starts by
+// hand because structured filters run it once per document.
 func ExtractField(text, field string) (float64, bool) {
-	var m []string
-	switch canonField(field) {
+	var label string
+	switch field = canonField(field); field {
 	case "views":
-		m = reViews.FindStringSubmatch(text)
+		label = "views:"
 	case "score":
-		m = reScore.FindStringSubmatch(text)
+		label = "score:"
 	case "year":
-		m = rePosted.FindStringSubmatch(text)
+		label = "posted:"
 	default:
 		return 0, false
 	}
-	if m == nil {
-		return 0, false
+	for start := 0; ; {
+		if rest, ok := cutFoldPrefix(text[start:], label); ok {
+			rest = strings.TrimLeft(rest, " \t\n\f\r") // \s* may run across line ends
+			n := 0
+			if field == "score" && strings.HasPrefix(rest, "-") {
+				n = 1
+			}
+			digits := n
+			for digits < len(rest) && rest[digits] >= '0' && rest[digits] <= '9' {
+				digits++
+			}
+			if field == "year" {
+				// Exactly the first four digits; fewer is no match.
+				if digits >= 4 {
+					digits = 4
+				} else {
+					digits = n
+				}
+			}
+			if digits > n {
+				// The leftmost match decides, even when it overflows.
+				v, err := strconv.Atoi(rest[:digits])
+				if err != nil {
+					return 0, false
+				}
+				return float64(v), true
+			}
+		}
+		nl := strings.IndexByte(text[start:], '\n')
+		if nl < 0 {
+			return 0, false
+		}
+		start += nl + 1
 	}
-	v, err := strconv.Atoi(m[1])
-	if err != nil {
-		return 0, false
+}
+
+// cutFoldPrefix strips label — lower-case ASCII — from the front of s the
+// way a (?i) regex literal would match it: either case of each letter,
+// and U+017F (long s) for an s.
+func cutFoldPrefix(s, label string) (string, bool) {
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		switch {
+		case s == "":
+			return "", false
+		case s[0] == c || (c >= 'a' && c <= 'z' && s[0] == c-'a'+'A'):
+			s = s[1:]
+		case c == 's' && strings.HasPrefix(s, "\u017f"):
+			s = s[len("\u017f"):]
+		default:
+			return "", false
+		}
 	}
-	return float64(v), true
+	return s, true
 }
 
 func cmp(x float64, op string, v float64) bool {

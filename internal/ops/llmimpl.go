@@ -19,8 +19,8 @@ import (
 // and therefore the cost model and the virtual clock — reflect real
 // execution patterns.
 
-func complete(ctx context.Context, env *Env, task string, fields map[string]string) (llm.Response, error) {
-	return env.Client.Complete(ctx, llm.BuildPrompt(task, fields))
+func complete(ctx context.Context, env *Env, task string, fields ...llm.Field) (llm.Response, error) {
+	return llm.Do(ctx, env.Client, llm.NewRequest(task, fields...))
 }
 
 // viewLookup partitions ids into materialized-view hits (id -> stored
@@ -87,10 +87,10 @@ func batchJudge(ctx context.Context, env *Env, cond string, ids []int) ([]int, e
 			}
 			texts[i] = t
 		}
-		resp, err := complete(ctx, env, "filter_batch", map[string]string{
-			"condition": cond,
-			"docs":      llm.JoinDocs(texts),
-		})
+		resp, err := complete(ctx, env, "filter_batch",
+			llm.Text("condition", cond),
+			llm.Docs("docs", texts),
+		)
 		if err != nil {
 			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
 				continue // degrade: drop the chunk, keep filtering
@@ -144,10 +144,10 @@ func physSemanticFilter() *Physical {
 			if c, ok := nlcond.Parse(cond); ok && c.Kind == nlcond.Subset {
 				var groups []values.Group
 				for _, g := range in.GroupVal {
-					resp, err := complete(ctx, env, "filter_label", map[string]string{
-						"condition": cond,
-						"label":     g.Label,
-					})
+					resp, err := complete(ctx, env, "filter_label",
+						llm.Text("condition", cond),
+						llm.Text("label", g.Label),
+					)
 					if err != nil {
 						return values.Value{}, err
 					}
@@ -256,10 +256,10 @@ func batchClassify(ctx context.Context, env *Env, classWord string, ids []int) (
 			}
 			texts[i] = t
 		}
-		resp, err := complete(ctx, env, "classify_batch", map[string]string{
-			"class": classWord,
-			"docs":  llm.JoinDocs(texts),
-		})
+		resp, err := complete(ctx, env, "classify_batch",
+			llm.Text("class", classWord),
+			llm.Docs("docs", texts),
+		)
 		if err != nil {
 			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
 				continue // degrade: the chunk's documents stay unlabeled
@@ -341,10 +341,10 @@ func llmFieldValues(ctx context.Context, env *Env, field string, ids []int) ([]f
 			}
 			texts[i] = t
 		}
-		resp, err := complete(ctx, env, "extract_batch", map[string]string{
-			"target": field,
-			"docs":   llm.JoinDocs(texts),
-		})
+		resp, err := complete(ctx, env, "extract_batch",
+			llm.Text("target", field),
+			llm.Docs("docs", texts),
+		)
 		if err != nil {
 			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
 				continue // degrade: aggregate over the surviving chunks
@@ -419,10 +419,10 @@ func physLLMAgg(kind string) *Physical {
 						lines = append(lines, strconv.FormatFloat(v, 'f', -1, 64))
 					}
 				}
-				resp, err := complete(ctx, env, "agg_list", map[string]string{
-					"kind":   aggKind,
-					"values": strings.Join(lines, "\n"),
-				})
+				resp, err := complete(ctx, env, "agg_list",
+					llm.Text("kind", aggKind),
+					llm.Text("values", strings.Join(lines, "\n")),
+				)
 				if err != nil {
 					return 0, err
 				}
@@ -468,10 +468,10 @@ func physLLMArg(kind string) *Physical {
 			}
 			best := vec[0]
 			for _, e := range vec[1:] {
-				resp, err := complete(ctx, env, "compare_vals", map[string]string{
-					"a": strconv.FormatFloat(best.Num, 'f', -1, 64),
-					"b": strconv.FormatFloat(e.Num, 'f', -1, 64),
-				})
+				resp, err := complete(ctx, env, "compare_vals",
+					llm.Text("a", strconv.FormatFloat(best.Num, 'f', -1, 64)),
+					llm.Text("b", strconv.FormatFloat(e.Num, 'f', -1, 64)),
+				)
 				if err != nil {
 					return values.Value{}, err
 				}
@@ -541,10 +541,10 @@ func physSemanticClassify() *Physical {
 			if err != nil {
 				return values.Value{}, err
 			}
-			resp, err := complete(ctx, env, "classify_doc", map[string]string{
-				"class": args.Get("Attribute"),
-				"doc":   text,
-			})
+			resp, err := complete(ctx, env, "classify_doc",
+				llm.Text("class", args.Get("Attribute")),
+				llm.Text("doc", text),
+			)
 			if err != nil {
 				return values.Value{}, err
 			}
@@ -571,10 +571,10 @@ func physLLMExtract() *Physical {
 				return values.Value{}, err
 			}
 			target := strings.ToLower(args.Get("Attribute"))
-			resp, err := complete(ctx, env, "extract_doc", map[string]string{
-				"target": target,
-				"doc":    text,
-			})
+			resp, err := complete(ctx, env, "extract_doc",
+				llm.Text("target", target),
+				llm.Text("doc", text),
+			)
 			if err != nil {
 				return values.Value{}, err
 			}
@@ -688,10 +688,10 @@ func physSemanticJoin() *Physical {
 			var out []string
 			for _, a := range al {
 				for _, b := range bl {
-					resp, err := complete(ctx, env, "filter_label", map[string]string{
-						"condition": "related to " + b,
-						"label":     a,
-					})
+					resp, err := complete(ctx, env, "filter_label",
+						llm.Text("condition", "related to "+b),
+						llm.Text("label", a),
+					)
 					if err != nil {
 						return values.Value{}, err
 					}
@@ -736,10 +736,10 @@ func physSetOp(op string, llmBased bool) *Physical {
 				canon := func(ls []string) ([]string, error) {
 					out := make([]string, len(ls))
 					for i, l := range ls {
-						resp, err := complete(ctx, env, "filter_label", map[string]string{
-							"condition": "related to " + l,
-							"label":     l,
-						})
+						resp, err := complete(ctx, env, "filter_label",
+							llm.Text("condition", "related to "+l),
+							llm.Text("label", l),
+						)
 						if err != nil {
 							return nil, err
 						}
@@ -771,10 +771,10 @@ func physSemanticCompare() *Physical {
 			return len(inputs) >= 2 && inputs[0].Kind == values.Num && inputs[1].Kind == values.Num
 		},
 		Run: func(ctx context.Context, env *Env, _ Args, inputs []values.Value) (values.Value, error) {
-			resp, err := complete(ctx, env, "compare_vals", map[string]string{
-				"a": strconv.FormatFloat(inputs[0].NumVal, 'f', -1, 64),
-				"b": strconv.FormatFloat(inputs[1].NumVal, 'f', -1, 64),
-			})
+			resp, err := complete(ctx, env, "compare_vals",
+				llm.Text("a", strconv.FormatFloat(inputs[0].NumVal, 'f', -1, 64)),
+				llm.Text("b", strconv.FormatFloat(inputs[1].NumVal, 'f', -1, 64)),
+			)
 			if err != nil {
 				return values.Value{}, err
 			}
@@ -798,10 +798,10 @@ func physLLMCompute() *Physical {
 			bindings := fmt.Sprintf("%s=%v\n%s=%v",
 				args.Get("Entity"), inputs[0].NumVal,
 				args.Get("Entity2"), inputs[1].NumVal)
-			resp, err := complete(ctx, env, "compute", map[string]string{
-				"expression": expression,
-				"bindings":   bindings,
-			})
+			resp, err := complete(ctx, env, "compute",
+				llm.Text("expression", expression),
+				llm.Text("bindings", bindings),
+			)
 			if err != nil {
 				return values.Value{}, err
 			}
@@ -834,10 +834,10 @@ func physGenerate() *Physical {
 				}
 				texts[i] = t
 			}
-			resp, err := complete(ctx, env, "generate", map[string]string{
-				"question": question,
-				"context":  llm.JoinDocs(texts),
-			})
+			resp, err := complete(ctx, env, "generate",
+				llm.Text("question", question),
+				llm.Docs("context", texts),
+			)
 			if err != nil {
 				return values.Value{}, err
 			}

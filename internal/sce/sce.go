@@ -136,10 +136,10 @@ func (e *Estimator) judge(ctx context.Context, client llm.Client, pred string, i
 		if !ok {
 			return 0, fmt.Errorf("sce: unknown document %d", id)
 		}
-		resp, err := client.Complete(ctx, llm.BuildPrompt("filter_doc", map[string]string{
-			"condition": pred,
-			"doc":       d.Text,
-		}))
+		resp, err := llm.Do(ctx, client, llm.NewRequest("filter_doc",
+			llm.Text("condition", pred),
+			llm.Text("doc", d.Text),
+		))
 		if err != nil {
 			return 0, err
 		}
@@ -334,10 +334,10 @@ func (e *Estimator) TrueCardinality(ctx context.Context, pred string, batch int)
 			d, _ := e.Store.Doc(id)
 			texts = append(texts, d.Text)
 		}
-		resp, err := e.Client.Complete(ctx, llm.BuildPrompt("filter_batch", map[string]string{
-			"condition": pred,
-			"docs":      llm.JoinDocs(texts),
-		}))
+		resp, err := llm.Do(ctx, e.Client, llm.NewRequest("filter_batch",
+			llm.Text("condition", pred),
+			llm.Docs("docs", texts),
+		))
 		if err != nil {
 			return 0, err
 		}
