@@ -36,7 +36,7 @@ func benchSystem(b *testing.B, mode optimizer.Mode) (*System, []workload.Query) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := OpenDataset(ds, Config{Dataset: "sports", Mode: mode, TrainSCE: true})
+	sys, err := New(WithConfig(Config{Dataset: "sports", Mode: mode, TrainSCE: true}), WithCorpus(ds))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func BenchmarkAblationK(b *testing.B) {
 	for _, k := range []int{2, 5, 8} {
 		k := k
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sys, err := OpenDataset(ds, Config{Dataset: "sports", K: k, TrainSCE: true})
+			sys, err := New(WithConfig(Config{Dataset: "sports", K: k, TrainSCE: true}), WithCorpus(ds))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func BenchmarkAblationIndexScan(b *testing.B) {
 		b.ReportMetric(lat.Seconds(), "sim_latency_s")
 	})
 	b.Run("Rule(LinearSemantic)", func(b *testing.B) {
-		rsys, err := OpenDataset(sys.Dataset, Config{Dataset: "sports", Mode: optimizer.Rule, TrainSCE: true})
+		rsys, err := New(WithConfig(Config{Dataset: "sports", Mode: optimizer.Rule, TrainSCE: true}), WithCorpus(sys.Dataset))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func BenchmarkAblationTau(b *testing.B) {
 	for _, tau := range []float64{0.25, 0.75, 1.0} {
 		tau := tau
 		b.Run(fmt.Sprintf("tau=%.2f", tau), func(b *testing.B) {
-			sys, err := OpenDataset(ds, Config{Dataset: "sports", Tau: tau, TrainSCE: true})
+			sys, err := New(WithConfig(Config{Dataset: "sports", Tau: tau, TrainSCE: true}), WithCorpus(ds))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -521,7 +521,7 @@ func BenchmarkAblationSCEBuckets(b *testing.B) {
 	for _, buckets := range []int{4, 8, 16} {
 		buckets := buckets
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			sys, err := OpenDataset(ds, Config{Dataset: "sports", SCEBuckets: buckets, TrainSCE: true})
+			sys, err := New(WithConfig(Config{Dataset: "sports", SCEBuckets: buckets, TrainSCE: true}), WithCorpus(ds))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -561,7 +561,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	for _, batch := range []int{4, 16, 32} {
 		batch := batch
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			sys, err := OpenDataset(ds, Config{Dataset: "sports", BatchSize: batch, TrainSCE: true})
+			sys, err := New(WithConfig(Config{Dataset: "sports", BatchSize: batch, TrainSCE: true}), WithCorpus(ds))
 			if err != nil {
 				b.Fatal(err)
 			}

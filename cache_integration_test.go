@@ -32,11 +32,11 @@ func TestWarmWorkloadSpeedup(t *testing.T) {
 		"How many questions are about cycling?",
 	}
 
-	uncached, err := OpenDataset(ds, Config{Dataset: "sports", CacheBytes: -1})
+	uncached, err := New(WithConfig(Config{Dataset: "sports", CacheBytes: -1}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := OpenDataset(ds, Config{Dataset: "sports"})
+	sys, err := New(WithConfig(Config{Dataset: "sports"}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheByteBudgetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 8 << 10
-	sys, err := OpenDataset(ds, Config{Dataset: "sports", CacheBytes: budget})
+	sys, err := New(WithConfig(Config{Dataset: "sports", CacheBytes: budget}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,20 @@
-// Command unify-bench regenerates the paper's tables and figures.
+// Command unify-bench regenerates the paper's tables and figures and the
+// repository's virtual-time reports.
 //
 // Usage:
 //
 //	unify-bench -exp all                # every experiment at paper scale
 //	unify-bench -exp fig4 -size 500 -per 2 -datasets sports
-//	unify-bench -exp table3
 //	unify-bench -exp fig5a,fig5b -size 800
-//	unify-bench -exp cache -size 400 -per 2 -datasets sports -cacheout BENCH_cache.json
-//	unify-bench -exp faults -size 400 -per 2 -datasets sports -faultsout BENCH_faults.json
-//	unify-bench -exp serve -size 300 -per 2 -datasets sports -serveout BENCH_serve.json
-//	unify-bench -exp scale -size 300 -per 2 -datasets sports -scaleout BENCH_scale.json
+//	unify-bench -exp cache,serve -size 400 -per 2 -datasets sports -out .
 //	unify-bench -exp scale -machines 2 -queries 4 -size 300 -datasets sports   # CI smoke
-//	unify-bench -exp usql -size 400 -per 2 -datasets sports -usqlout BENCH_usql.json
-//	unify-bench -exp views -size 400 -per 2 -datasets sports -viewsout BENCH_views.json
 //
-// Experiments: fig4 (accuracy+latency, Fig. 4a-h), table3 (SCE q-errors,
-// Table III), fig5a (logical optimization), fig5b (physical optimization),
-// cache (repeated-workload cold/warm latency and per-layer hit rates),
-// faults (resilience under seeded fault injection at increasing rates),
-// serve (concurrent serving sweep over the shared slot pool),
-// scale (cluster-width sweep with shard-aware scatter execution).
+// The experiments table below is the one list of experiments: the -exp
+// help text, the "all" set and the dispatch loop are derived from it.
+// -out DIR writes each experiment's result to DIR/BENCH_<exp>.json (the
+// checked-in BENCH_*.json files are `-out .` at the sizes EXPERIMENTS.md
+// gives); -json FILE writes every result into one object keyed by
+// experiment.
 package main
 
 import (
@@ -27,31 +22,68 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"unify/internal/bench"
 )
 
+// experiment is one row of the dispatch table. run returns the result to
+// serialize and a printer for its human-readable form.
+type experiment struct {
+	name, title string
+	run         func(context.Context, bench.Config) (artifact any, print func(io.Writer), err error)
+}
+
+// of pairs a bench driver with its printer.
+func of[T any](run func(context.Context, bench.Config) (T, error), print func(io.Writer, T)) func(context.Context, bench.Config) (any, func(io.Writer), error) {
+	return func(ctx context.Context, cfg bench.Config) (any, func(io.Writer), error) {
+		res, err := run(ctx, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, func(w io.Writer) { print(w, res) }, nil
+	}
+}
+
+func fig5(title string) func(io.Writer, []bench.OptRow) {
+	return func(w io.Writer, rows []bench.OptRow) { bench.PrintFig5(w, title, rows) }
+}
+
+var experiments = []experiment{
+	{"fig4", "Figure 4", of(bench.RunFig4, bench.PrintFig4)},
+	{"table3", "Table III", of(bench.RunTable3, bench.PrintTable3)},
+	{"fig5a", "Figure 5(a)", of(bench.RunFig5a, fig5("Figure 5(a): logical optimization (avg exec latency)"))},
+	{"fig5b", "Figure 5(b)", of(bench.RunFig5b, fig5("Figure 5(b): physical optimization (avg exec latency)"))},
+	{"cache", "Repeated workload (cache)", of(bench.RunCacheBench, bench.PrintCacheBench)},
+	{"faults", "Fault injection (faults)", of(bench.RunFaultBench, bench.PrintFaultBench)},
+	{"serve", "Concurrent serving (serve)", of(bench.RunServeBench, bench.PrintServeBench)},
+	{"batch", "Continuous batching (batch)", of(bench.RunBatchBench, bench.PrintBatchBench)},
+	{"scale", "Scale-out (scale)", of(bench.RunScaleBench, bench.PrintScaleBench)},
+	{"usql", "USQL vs NL planning (usql)", of(bench.RunUSQLBench, bench.PrintUSQLBench)},
+	{"views", "Materialized views across ingest (views)", of(bench.RunViewsBench, bench.PrintViewsBench)},
+}
+
 func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiments to run: fig4,table3,fig5a,fig5b,cache,faults,serve,batch,scale,usql,views,all")
+		exp      = flag.String("exp", "all", "experiments to run: "+strings.Join(names, ",")+",all")
 		size     = flag.Int("size", 0, "corpus size override (0 = paper sizes)")
 		per      = flag.Int("per", 5, "query instances per template (paper: 5)")
 		datasets = flag.String("datasets", "", "comma-separated dataset subset")
 		methods  = flag.String("methods", "", "comma-separated method subset for fig4")
 		seed     = flag.Int64("seed", 42, "workload sampling seed")
-		jsonOut  = flag.String("json", "", "also write structured results to this JSON file")
-		cacheOut = flag.String("cacheout", "", "write the cache experiment's flat report to this JSON file")
-		faultOut = flag.String("faultsout", "", "write the faults experiment's report to this JSON file")
-		serveOut = flag.String("serveout", "", "write the serve experiment's report to this JSON file")
-		batchOut = flag.String("batchout", "", "write the batch experiment's report to this JSON file")
-		scaleOut = flag.String("scaleout", "", "write the scale experiment's report to this JSON file")
-		usqlOut  = flag.String("usqlout", "", "write the usql experiment's report to this JSON file")
-		viewsOut = flag.String("viewsout", "", "write the views experiment's report to this JSON file")
+		jsonOut  = flag.String("json", "", "also write every result to this JSON file, keyed by experiment")
+		outDir   = flag.String("out", "", "also write each result to BENCH_<exp>.json in this directory")
 		machines = flag.Int("machines", 0, "scale experiment: max cluster width (0 = the default 1,2,4,8 sweep)")
-		nQueries = flag.Int("queries", 0, "scale experiment: cap the per-width query batch (0 = full workload)")
+		nQueries = flag.Int("queries", 0, "batch, scale, usql, views: cap the query batch (0 = full workload)")
 	)
 	flag.Parse()
 
@@ -72,247 +104,55 @@ func main() {
 	}
 
 	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if want["all"] {
-		want = map[string]bool{"fig4": true, "table3": true, "fig5a": true, "fig5b": true, "cache": true, "faults": true, "serve": true, "scale": true, "batch": true, "usql": true, "views": true}
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if name != "all" && !slices.Contains(names, name) {
+			fail(name, fmt.Errorf("unknown experiment (want %s or all)", strings.Join(names, ", ")))
+		}
+		want[name] = true
 	}
 
 	ctx := context.Background()
-	artifacts := map[string]interface{}{}
-	run := func(name string, f func() error) {
+	artifacts := map[string]any{}
+	for _, e := range experiments {
+		if !want["all"] && !want[e.name] {
+			continue
+		}
 		start := time.Now()
-		fmt.Printf("== %s ==\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s completed in %.1fs wall time)\n\n", name, time.Since(start).Seconds())
-	}
-
-	if want["fig4"] {
-		run("Figure 4", func() error {
-			rows, err := bench.RunFig4(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig4(os.Stdout, rows)
-			artifacts["fig4"] = rows
-			return nil
-		})
-	}
-	if want["table3"] {
-		run("Table III", func() error {
-			rows, err := bench.RunTable3(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable3(os.Stdout, rows)
-			artifacts["table3"] = rows
-			return nil
-		})
-	}
-	if want["fig5a"] {
-		run("Figure 5(a)", func() error {
-			rows, err := bench.RunFig5a(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig5(os.Stdout, "Figure 5(a): logical optimization (avg exec latency)", rows)
-			artifacts["fig5a"] = rows
-			return nil
-		})
-	}
-	if want["fig5b"] {
-		run("Figure 5(b)", func() error {
-			rows, err := bench.RunFig5b(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig5(os.Stdout, "Figure 5(b): physical optimization (avg exec latency)", rows)
-			artifacts["fig5b"] = rows
-			return nil
-		})
-	}
-
-	if want["cache"] {
-		run("Repeated workload (cache)", func() error {
-			res, err := bench.RunCacheBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintCacheBench(os.Stdout, res)
-			artifacts["cache"] = res
-			if *cacheOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*cacheOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("cache report written to %s\n", *cacheOut)
-			}
-			return nil
-		})
-	}
-
-	if want["faults"] {
-		run("Fault injection (faults)", func() error {
-			res, err := bench.RunFaultBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintFaultBench(os.Stdout, res)
-			artifacts["faults"] = res
-			if *faultOut != "" {
-				data, err := bench.WriteFaultBench(res)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*faultOut, data, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("faults report written to %s\n", *faultOut)
-			}
-			return nil
-		})
-	}
-
-	if want["serve"] {
-		run("Concurrent serving (serve)", func() error {
-			res, err := bench.RunServeBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintServeBench(os.Stdout, res)
-			artifacts["serve"] = res
-			if *serveOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*serveOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("serve report written to %s\n", *serveOut)
-			}
-			return nil
-		})
-	}
-
-	if want["batch"] {
-		run("Continuous batching (batch)", func() error {
-			res, err := bench.RunBatchBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintBatchBench(os.Stdout, res)
-			artifacts["batch"] = res
-			for _, p := range res.Points {
-				if !p.AnswersIdentical {
-					return fmt.Errorf("batch: answers at concurrency %d diverge between batching on and off", p.Concurrency)
-				}
-			}
-			if *batchOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*batchOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("batch report written to %s\n", *batchOut)
-			}
-			return nil
-		})
-	}
-
-	if want["scale"] {
-		run("Scale-out (scale)", func() error {
-			res, err := bench.RunScaleBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintScaleBench(os.Stdout, res)
-			artifacts["scale"] = res
-			for _, p := range res.Points {
-				if !p.AnswersMatchM1 {
-					return fmt.Errorf("scale: answers at %d machines diverge from the 1-machine run", p.Machines)
-				}
-			}
-			if *scaleOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*scaleOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("scale report written to %s\n", *scaleOut)
-			}
-			return nil
-		})
-	}
-
-	if want["usql"] {
-		run("USQL vs NL planning (usql)", func() error {
-			res, err := bench.RunUSQLBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintUSQLBench(os.Stdout, res)
-			artifacts["usql"] = res
-			if *usqlOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*usqlOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("usql report written to %s\n", *usqlOut)
-			}
-			return nil
-		})
-	}
-
-	if want["views"] {
-		run("Materialized views across ingest (views)", func() error {
-			res, err := bench.RunViewsBench(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			bench.PrintViewsBench(os.Stdout, res)
-			artifacts["views"] = res
-			if *viewsOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*viewsOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("views report written to %s\n", *viewsOut)
-			}
-			return nil
-		})
-	}
-
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
+		fmt.Printf("== %s ==\n", e.title)
+		res, print, err := e.run(ctx, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "json output:", err)
-			os.Exit(1)
+			fail(e.title, err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(artifacts); err != nil {
-			fmt.Fprintln(os.Stderr, "json encode:", err)
-			os.Exit(1)
+		print(os.Stdout)
+		artifacts[e.name] = res
+		if *outDir != "" {
+			path := filepath.Join(*outDir, "BENCH_"+e.name+".json")
+			if err := writeJSON(path, res); err != nil {
+				fail(e.title, err)
+			}
+			fmt.Printf("%s report written to %s\n", e.name, path)
 		}
-		f.Close()
+		fmt.Printf("(%s completed in %.1fs wall time)\n\n", e.title, time.Since(start).Seconds())
+	}
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, artifacts); err != nil {
+			fail("json output", err)
+		}
 		fmt.Printf("structured results written to %s\n", *jsonOut)
 	}
+}
+
+// writeJSON writes v as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func fail(what string, err error) {
+	fmt.Fprintf(os.Stderr, "%s failed: %v\n", what, err)
+	os.Exit(1)
 }

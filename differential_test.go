@@ -42,7 +42,7 @@ func diffSystem(t *testing.T, ds *corpus.Dataset, mut func(*Config)) *System {
 	if mut != nil {
 		mut(&cfg)
 	}
-	sys, err := OpenDataset(ds, cfg)
+	sys, err := New(WithConfig(cfg), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestDifferentialBatchingOnOff(t *testing.T) {
 	ms := check.Differential(context.Background(), "batching", diffQueries(ds, 6),
 		exactRunner(off), exactRunner(on))
 	assertNoMismatch(t, "batching", ms)
-	if got := len(check.Axes); got != 9 {
-		t.Fatalf("axis registry has %d axes, expected 9 (batching, usql_vs_nl, or ingest missing?)", got)
+	if got := len(check.Axes); got != 8 {
+		t.Fatalf("axis registry has %d axes, expected 8 (batching, usql_vs_nl, or ingest missing?)", got)
 	}
 }
 

@@ -49,7 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sys, err := unify.Open(unify.Config{Dataset: "sports", Size: 400})
+	sys, err := unify.New(unify.WithDataset("sports"), unify.WithSize(400))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sys, err := unify.Open(unify.Config{Dataset: "law", Size: 800, TrainSCE: true})
+	sys, err := unify.New(unify.WithDataset("law"), unify.WithSize(800), unify.WithTrainSCE())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func main() {
 	// A reduced corpus keeps the example instant; drop Size for the
 	// paper's 3,898 documents.
-	sys, err := unify.Open(unify.Config{Dataset: "sports", Size: 800, TrainSCE: true})
+	sys, err := unify.New(unify.WithDataset("sports"), unify.WithSize(800), unify.WithTrainSCE())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	sys, err := unify.Open(unify.Config{Dataset: "sports", Size: 1200, TrainSCE: true})
+	sys, err := unify.New(unify.WithDataset("sports"), unify.WithSize(1200), unify.WithTrainSCE())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"unify"
-	"unify/internal/corpus"
 	"unify/internal/sched"
 	"unify/internal/workload"
 )
@@ -79,15 +78,10 @@ var BatchLevels = []int{8, 16}
 func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
 		queries = queries[:cfg.MaxQueries]
 	}
@@ -99,21 +93,8 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 		MaxBatch:     unify.DefaultMaxBatch,
 	}
 
-	open := func(batching bool) (*unify.System, error) {
-		opts := []unify.Option{
-			unify.WithCorpus(ds),
-			unify.WithDataset(name),
-			unify.WithTrainSCE(),
-			unify.WithCacheBytes(-1),
-		}
-		if batching {
-			opts = append(opts, unify.WithBatching())
-		}
-		return unify.New(opts...)
-	}
-
 	for _, c := range BatchLevels {
-		off, err := open(false)
+		off, err := openSystem(ds, unify.WithCacheBytes(-1))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +103,7 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		on, err := open(true)
+		on, err := openSystem(ds, unify.WithCacheBytes(-1), unify.WithBatching())
 		if err != nil {
 			return nil, err
 		}

@@ -39,8 +39,8 @@ type Config struct {
 	// ScaleMachines is the cluster-width sweep for the scale experiment
 	// (default 1, 2, 4, 8; must include 1, the speedup baseline).
 	ScaleMachines []int
-	// MaxQueries caps the per-width query batch of the scale experiment
-	// (0 = the full generated workload).
+	// MaxQueries caps the query batch of the batch, scale, usql and views
+	// experiments (0 = the full generated workload).
 	MaxQueries int
 }
 
@@ -131,9 +131,27 @@ func (u *unifyBaseline) Run(ctx context.Context, query string) (baselines.Result
 	return baselines.Result{Text: ans.Text, Latency: ans.TotalDur, LLMCalls: ans.LLMCalls}, nil
 }
 
-// openSystem builds the standard Unify system for a dataset.
-func openSystem(ds *corpus.Dataset, mode optimizer.Mode) (*unify.System, error) {
-	return unify.OpenDataset(ds, unify.Config{Dataset: ds.Name, Mode: mode, TrainSCE: true})
+// load generates one dataset at the configured size (0 = the paper's
+// document count) and the seeded workload over it.
+func (c Config) load(name string) (*corpus.Dataset, []workload.Query, error) {
+	size := c.Size
+	if size == 0 {
+		size = corpus.DefaultSize(name)
+	}
+	ds, err := corpus.GenerateN(name, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, workload.Generate(ds, c.PerTemplate, c.Seed), nil
+}
+
+// openSystem builds the experiments' standard system over a dataset —
+// paper defaults, importance function trained — plus the options one
+// experiment varies. The serving-path experiments pass
+// unify.WithCacheBytes(-1): with the shared cache off every level and
+// width schedules the same honest slot work.
+func openSystem(ds *corpus.Dataset, opts ...unify.Option) (*unify.System, error) {
+	return unify.New(append([]unify.Option{unify.WithCorpus(ds), unify.WithDataset(ds.Name), unify.WithTrainSCE()}, opts...)...)
 }
 
 // buildBaseline constructs a named method over a dataset.
@@ -167,16 +185,11 @@ func RunFig4(ctx context.Context, cfg Config) ([]MethodScore, error) {
 	cfg.defaults()
 	var out []MethodScore
 	for _, name := range cfg.Datasets {
-		size := cfg.Size
-		if size == 0 {
-			size = corpus.DefaultSize(name)
-		}
-		ds, err := corpus.GenerateN(name, size)
+		ds, queries, err := cfg.load(name)
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
-		sys, err := openSystem(ds, optimizer.CostBased)
+		sys, err := openSystem(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -272,22 +285,17 @@ func RunTable3(ctx context.Context, cfg Config) ([]QErrorRow, error) {
 	}
 	var out []QErrorRow
 	for _, name := range datasets {
-		size := cfg.Size
-		if size == 0 {
-			size = corpus.DefaultSize(name)
-		}
-		ds, err := corpus.GenerateN(name, size)
+		ds, queries, err := cfg.load(name)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := openSystem(ds, optimizer.CostBased)
+		sys, err := openSystem(ds)
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 		preds := workload.SemanticConditions(queries)
 		est := sys.Estimator
-		ns := int(cfg.SampleFrac * float64(size))
+		ns := int(cfg.SampleFrac * float64(len(ds.Docs)))
 		// Ground truth: full LLM evaluation of each predicate.
 		truths := make(map[string]float64, len(preds))
 		for _, p := range preds {
@@ -362,19 +370,14 @@ func RunFig5a(ctx context.Context, cfg Config) ([]OptRow, error) {
 	datasets := []string{"sports", "wiki"}
 	var out []OptRow
 	for _, name := range datasets {
-		size := cfg.Size
-		if size == 0 {
-			size = corpus.DefaultSize(name)
-		}
-		ds, err := corpus.GenerateN(name, size)
+		ds, queries, err := cfg.load(name)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := openSystem(ds, optimizer.CostBased)
+		sys, err := openSystem(ds)
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 		var par, ser time.Duration
 		n := 0
 		for _, q := range queries {
@@ -405,15 +408,10 @@ func RunFig5b(ctx context.Context, cfg Config) ([]OptRow, error) {
 	datasets := []string{"sports", "wiki"}
 	var out []OptRow
 	for _, name := range datasets {
-		size := cfg.Size
-		if size == 0 {
-			size = corpus.DefaultSize(name)
-		}
-		ds, err := corpus.GenerateN(name, size)
+		ds, queries, err := cfg.load(name)
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 		for _, variant := range []struct {
 			label string
 			mode  optimizer.Mode
@@ -422,7 +420,7 @@ func RunFig5b(ctx context.Context, cfg Config) ([]OptRow, error) {
 			{"Unify", optimizer.CostBased},
 			{"Unify-GD", optimizer.GroundTruth},
 		} {
-			sys, err := openSystem(ds, variant.mode)
+			sys, err := openSystem(ds, unify.WithMode(variant.mode))
 			if err != nil {
 				return nil, err
 			}

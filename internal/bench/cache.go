@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"unify"
-	"unify/internal/corpus"
-	"unify/internal/optimizer"
 	"unify/internal/workload"
 )
 
@@ -113,20 +111,15 @@ func runPass(ctx context.Context, sys *unify.System, queries []workload.Query) (
 func RunCacheBench(ctx context.Context, cfg Config) (*CacheBenchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 	res := &CacheBenchResult{Dataset: name, Queries: len(queries)}
 
 	// Control: the same batch with caching disabled (CacheBytes < 0) —
 	// the seed system's behavior, against which cold latency must hold.
-	unc, err := unify.OpenDataset(ds, unify.Config{Dataset: name, TrainSCE: true, CacheBytes: -1})
+	unc, err := openSystem(ds, unify.WithCacheBytes(-1))
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +129,7 @@ func RunCacheBench(ctx context.Context, cfg Config) (*CacheBenchResult, error) {
 	}
 	res.UncachedLatency = uncLat
 
-	sys, err := openSystem(ds, optimizer.CostBased)
+	sys, err := openSystem(ds)
 	if err != nil {
 		return nil, err
 	}

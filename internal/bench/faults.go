@@ -2,13 +2,11 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
 	"unify"
-	"unify/internal/corpus"
 	"unify/internal/faults"
 	"unify/internal/workload"
 )
@@ -55,16 +53,11 @@ type FaultBenchResult struct {
 func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
-	res := &FaultBenchResult{Dataset: name, Size: size, PerTemplate: cfg.PerTemplate, Seed: cfg.Seed}
+	res := &FaultBenchResult{Dataset: name, Size: len(ds.Docs), PerTemplate: cfg.PerTemplate, Seed: cfg.Seed}
 
 	type sweep struct {
 		kind string
@@ -84,14 +77,14 @@ func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 	}}})
 
 	for _, sw := range sweeps {
-		sys, err := unify.OpenDataset(ds, unify.Config{
+		sys, err := unify.New(unify.WithConfig(unify.Config{
 			Dataset:         ds.Name,
 			TrainSCE:        true,
 			FaultPlan:       sw.plan,
 			MaxRetries:      3,
 			NodeErrorBudget: 2,
 			ReplanThreshold: 3,
-		})
+		}), unify.WithCorpus(ds))
 		if err != nil {
 			return nil, err
 		}
@@ -157,13 +150,4 @@ func PrintFaultBench(w io.Writer, res *FaultBenchResult) {
 			r.FaultsInjected, r.Retries, r.Replans, r.SkippedDocs)
 	}
 	fmt.Fprintf(w, "  accuracy drop at 10%% transient rate: %.1f points\n", 100*res.AccuracyDrop10)
-}
-
-// WriteFaultBench serializes the artifact JSON.
-func WriteFaultBench(res *FaultBenchResult) ([]byte, error) {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

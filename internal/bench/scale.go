@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"unify"
-	"unify/internal/corpus"
 	"unify/internal/workload"
 )
 
@@ -71,15 +70,10 @@ type ScaleResult struct {
 func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
 		queries = queries[:cfg.MaxQueries]
 	}
@@ -92,7 +86,7 @@ func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 	var baseline []string // answer texts at width 1
 	var baseQPS float64
 	for _, m := range cfg.ScaleMachines {
-		sys, err := openScaleSystem(ds, name, m)
+		sys, err := openSystem(ds, unify.WithCacheBytes(-1), unify.WithMachines(m))
 		if err != nil {
 			return nil, err
 		}
@@ -110,8 +104,11 @@ func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 			baseline = answers
 		}
 		pt.AnswersMatchM1 = answersEqual(baseline, answers)
+		if !pt.AnswersMatchM1 {
+			return nil, fmt.Errorf("bench: answers at %d machines diverge from the 1-machine run", m)
+		}
 
-		loaded, err := openScaleSystem(ds, name, m)
+		loaded, err := openSystem(ds, unify.WithCacheBytes(-1), unify.WithMachines(m))
 		if err != nil {
 			return nil, err
 		}
@@ -127,19 +124,6 @@ func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// openScaleSystem builds one width's system: shared-cache off (honest
-// slot work at every width) and the importance function trained as in
-// the other serving-path experiments.
-func openScaleSystem(ds *corpus.Dataset, name string, machines int) (*unify.System, error) {
-	return unify.New(
-		unify.WithCorpus(ds),
-		unify.WithDataset(name),
-		unify.WithTrainSCE(),
-		unify.WithCacheBytes(-1),
-		unify.WithMachines(machines),
-	)
 }
 
 // scaleVerify runs the batch sequentially, recording each answer text

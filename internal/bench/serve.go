@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"unify"
-	"unify/internal/corpus"
 	"unify/internal/workload"
 )
 
@@ -61,24 +60,14 @@ var ServeLevels = []int{1, 2, 4, 8, 16}
 func RunServeBench(ctx context.Context, cfg Config) (*ServeResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Generate(ds, cfg.PerTemplate, cfg.Seed)
 	res := &ServeResult{Dataset: name, Queries: len(queries)}
 
 	for _, c := range ServeLevels {
-		sys, err := unify.New(
-			unify.WithCorpus(ds),
-			unify.WithDataset(name),
-			unify.WithTrainSCE(),
-			unify.WithCacheBytes(-1),
-		)
+		sys, err := openSystem(ds, unify.WithCacheBytes(-1))
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"unify"
-	"unify/internal/corpus"
 	"unify/internal/llm"
 	"unify/internal/workload"
 )
@@ -80,16 +79,12 @@ type USQLResult struct {
 func RunUSQLBench(ctx context.Context, cfg Config) (*USQLResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
-	}
-	ds, err := corpus.GenerateN(name, size)
+	ds, queries, err := cfg.load(name)
 	if err != nil {
 		return nil, err
 	}
 	var pairs []workload.Query
-	for _, q := range workload.Generate(ds, cfg.PerTemplate, cfg.Seed) {
+	for _, q := range queries {
 		if q.USQL == "" {
 			continue
 		}

@@ -10,7 +10,6 @@ import (
 	"unify/internal/corpus"
 	"unify/internal/llm"
 	"unify/internal/views"
-	"unify/internal/workload"
 )
 
 // ViewsIngestFrac is the fraction of the corpus ingested mid-benchmark:
@@ -71,10 +70,11 @@ type ViewsResult struct {
 func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	size := cfg.Size
-	if size == 0 {
-		size = corpus.DefaultSize(name)
+	base, queries, err := cfg.load(name)
+	if err != nil {
+		return nil, err
 	}
+	size := len(base.Docs)
 	added := int(float64(size)*ViewsIngestFrac + 0.5)
 	if added == 0 {
 		added = 1
@@ -83,11 +83,6 @@ func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := corpus.GenerateN(name, size)
-	if err != nil {
-		return nil, err
-	}
-	queries := workload.Generate(base, cfg.PerTemplate, cfg.Seed)
 	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
 		queries = queries[:cfg.MaxQueries]
 	}

@@ -38,11 +38,6 @@ var Axes = []Axis{
 		Exact:       true,
 	},
 	{
-		Name:        "constructors",
-		Description: "deprecated Open/OpenDataset/OpenWithClients vs equivalent unify.New: byte-identical answers",
-		Exact:       true,
-	},
-	{
 		Name:        "mode-override",
 		Description: "system-level optimizer mode vs per-query WithModeOverride of the same mode",
 		Exact:       true,

@@ -53,13 +53,13 @@ func TestFaultMatrix(t *testing.T) {
 				kind, rate, seed := kind, rate, seed
 				t.Run(fmt.Sprintf("%s_r%.1f_s%d", kind, rate, seed), func(t *testing.T) {
 					t.Parallel()
-					sys, err := unify.OpenDataset(ds, unify.Config{
+					sys, err := unify.New(unify.WithConfig(unify.Config{
 						Dataset:         ds.Name,
 						FaultPlan:       faults.Uniform(kind, rate, seed, faults.OperatorTasks...),
 						MaxRetries:      3,
 						NodeErrorBudget: 2,
 						ReplanThreshold: 3,
-					})
+					}), unify.WithCorpus(ds))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,12 +94,12 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 	}
 	queries := workload.Generate(ds, 1, 42)[:3]
 	run := func() ([]string, int64) {
-		sys, err := unify.OpenDataset(ds, unify.Config{
+		sys, err := unify.New(unify.WithConfig(unify.Config{
 			Dataset:         ds.Name,
 			FaultPlan:       faults.Uniform(faults.Transient, 0.2, 7, faults.OperatorTasks...),
 			MaxRetries:      3,
 			NodeErrorBudget: 2,
-		})
+		}), unify.WithCorpus(ds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +139,14 @@ func TestFaultToleranceAccuracy(t *testing.T) {
 	}
 	queries := workload.Generate(ds, 1, 42)
 	score := func(plan *faults.Plan) float64 {
-		sys, err := unify.OpenDataset(ds, unify.Config{
+		sys, err := unify.New(unify.WithConfig(unify.Config{
 			Dataset:         ds.Name,
 			TrainSCE:        true,
 			FaultPlan:       plan,
 			MaxRetries:      3,
 			NodeErrorBudget: 2,
 			ReplanThreshold: 3,
-		})
+		}), unify.WithCorpus(ds))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func testServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
-	sys, err := unify.OpenDataset(ds, unify.Config{Dataset: "sports", Sim: &sim})
+	sys, err := unify.New(unify.WithConfig(unify.Config{Dataset: "sports", Sim: &sim}), unify.WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func TestTraceAndProfileByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
-		sys, err := unify.OpenDataset(ds, unify.Config{Dataset: "sports", Sim: &sim, StrictChecks: true})
+		sys, err := unify.New(unify.WithConfig(unify.Config{Dataset: "sports", Sim: &sim, StrictChecks: true}), unify.WithCorpus(ds))
 		if err != nil {
 			t.Fatal(err)
 		}

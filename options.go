@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"unify/internal/corpus"
-	"unify/internal/docstore"
-	"unify/internal/faults"
 	"unify/internal/llm"
 	"unify/internal/optimizer"
 )
@@ -14,8 +12,8 @@ import (
 // Option configures system construction for New.
 type Option func(*openOptions)
 
-// openOptions collects construction state: the Config plus the inputs the
-// legacy Open* constructors took as positional arguments.
+// openOptions collects construction state: the Config plus the inputs
+// that are not configuration — a ready dataset and model clients.
 type openOptions struct {
 	cfg     Config
 	ds      *corpus.Dataset
@@ -24,7 +22,8 @@ type openOptions struct {
 }
 
 // WithConfig seeds construction from a full Config; later options
-// override individual fields.
+// override individual fields. Every setting is reachable this way; the
+// With* options below cover the ones callers reach for.
 func WithConfig(cfg Config) Option {
 	return func(o *openOptions) { o.cfg = cfg }
 }
@@ -112,28 +111,10 @@ func WithViews() Option {
 	return func(o *openOptions) { o.cfg.Views = true }
 }
 
-// WithPartitioner overrides the corpus shard assignment policy (nil =
-// hash partitioning by document id). Only consulted when WithMachines
-// selects a multi-machine cluster.
-func WithPartitioner(p docstore.Partitioner) Option {
-	return func(o *openOptions) { o.cfg.Partitioner = p }
-}
-
 // WithMode selects the optimizer strategy for the whole system; see
 // WithModeOverride for a per-query override.
 func WithMode(m optimizer.Mode) Option {
 	return func(o *openOptions) { o.cfg.Mode = m }
-}
-
-// WithPlannerParams sets the logical planner's hyper-parameters (paper
-// defaults: K=5, NC=3, Tau=0.75).
-func WithPlannerParams(k, nc int, tau float64) Option {
-	return func(o *openOptions) { o.cfg.K, o.cfg.NC, o.cfg.Tau = k, nc, tau }
-}
-
-// WithSCEBuckets sets the importance-function resolution.
-func WithSCEBuckets(n int) Option {
-	return func(o *openOptions) { o.cfg.SCEBuckets = n }
 }
 
 // WithTrainSCE learns the importance function at open time (the paper's
@@ -145,34 +126,6 @@ func WithTrainSCE() Option {
 // WithSim overrides the simulated model configuration (noise, speed).
 func WithSim(cfg llm.SimConfig) Option {
 	return func(o *openOptions) { c := cfg; o.cfg.Sim = &c }
-}
-
-// WithFaultPlan injects seeded deterministic faults into the worker
-// client (the failure-testing harness).
-func WithFaultPlan(p *faults.Plan) Option {
-	return func(o *openOptions) { o.cfg.FaultPlan = p }
-}
-
-// WithRetries bounds retries per worker call after transient failures.
-func WithRetries(n int) Option {
-	return func(o *openOptions) { o.cfg.MaxRetries = n }
-}
-
-// WithHedgeAfter hedges worker calls slower than the threshold.
-func WithHedgeAfter(d time.Duration) Option {
-	return func(o *openOptions) { o.cfg.HedgeAfter = d }
-}
-
-// WithNodeErrorBudget lets each operator absorb up to n per-batch LLM
-// failures by skipping the affected documents.
-func WithNodeErrorBudget(n int) Option {
-	return func(o *openOptions) { o.cfg.NodeErrorBudget = n }
-}
-
-// WithReplanThreshold enables dynamic replanning above the given
-// deviation ratio (values <= 1 disable it).
-func WithReplanThreshold(r float64) Option {
-	return func(o *openOptions) { o.cfg.ReplanThreshold = r }
 }
 
 // WithStrictChecks turns on the internal/check invariant checker: every
@@ -202,8 +155,9 @@ func WithSlowQueryVTime(d time.Duration) Option {
 //
 //	sys, err := unify.New(unify.WithDataset("sports"), unify.WithSize(500))
 //
-// With no options it opens the paper's default configuration. New
-// subsumes the deprecated Open/OpenDataset/OpenWithClients constructors.
+// With no options it opens the paper's default configuration. New is the
+// only constructor; a Config field without an option of its own is set
+// through WithConfig.
 func New(opts ...Option) (*System, error) {
 	var o openOptions
 	for _, opt := range opts {

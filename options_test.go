@@ -3,6 +3,7 @@ package unify
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,39 +12,39 @@ import (
 	"unify/internal/optimizer"
 )
 
-// TestNewMatchesOpenDataset verifies the functional constructor builds a
-// system equivalent to the deprecated positional one: same answer text
-// for the same query on the same corpus and simulator seed.
-func TestNewMatchesOpenDataset(t *testing.T) {
+// TestOptionsMatchWithConfig verifies the two spellings of one
+// construction agree — individual options and a whole Config: same
+// answer text for the same query on the same corpus and simulator seed.
+func TestOptionsMatchWithConfig(t *testing.T) {
 	ds, err := corpus.GenerateN("sports", 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
 
-	legacy, err := OpenDataset(ds, Config{Dataset: "sports", Sim: &sim})
+	whole, err := New(WithConfig(Config{Dataset: "sports", Sim: &sim}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	modern, err := New(WithCorpus(ds), WithDataset("sports"), WithSim(sim))
+	single, err := New(WithCorpus(ds), WithDataset("sports"), WithSim(sim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if modern.Config.Slots != legacy.Config.Slots || modern.Config.Dataset != legacy.Config.Dataset {
-		t.Fatalf("configs diverge: %+v vs %+v", modern.Config, legacy.Config)
+	if single.Config.Slots != whole.Config.Slots || single.Config.Dataset != whole.Config.Dataset {
+		t.Fatalf("configs diverge: %+v vs %+v", single.Config, whole.Config)
 	}
 
 	const q = "How many questions are about tennis?"
-	a1, err := legacy.Query(context.Background(), q)
+	a1, err := whole.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := modern.Query(context.Background(), q)
+	a2, err := single.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1.Text != a2.Text {
-		t.Errorf("New answer %q != OpenDataset answer %q", a2.Text, a1.Text)
+		t.Errorf("With* answer %q != WithConfig answer %q", a2.Text, a1.Text)
 	}
 }
 
@@ -145,5 +146,37 @@ func TestPlanWithOptions(t *testing.T) {
 	}
 	if _, _, err := sys.Plan(context.Background(), "How many questions are about tennis?"); err != nil {
 		t.Fatalf("two-argument Plan regressed: %v", err)
+	}
+}
+
+// TestPlanIsQueryFrontHalf: Plan is Query's frontend and optimize phases
+// and nothing else. On two identical fresh systems, one planning and one
+// answering, the plans are the same and Plan's duration is the answer's
+// planning plus estimation time — on both frontend routes, with and
+// without a per-query optimizer mode.
+func TestPlanIsQueryFrontHalf(t *testing.T) {
+	queries := []string{
+		"How many questions about football have more than 500 views?",
+		"SELECT COUNT(*) FROM sports WHERE 'related to football' AND views > 500",
+	}
+	for _, q := range queries {
+		for _, opts := range [][]QueryOption{nil, {WithModeOverride(optimizer.Rule)}} {
+			planner, _ := openSmall(t, 200)
+			answerer, _ := openSmall(t, 200)
+			plan, dur, err := planner.Plan(context.Background(), q, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := answerer.Query(context.Background(), q, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plan, ans.Plan) {
+				t.Errorf("%q (%d options): Plan returned\n%v\nQuery executed\n%v", q, len(opts), plan, ans.Plan)
+			}
+			if want := ans.PlanningDur + ans.EstimationDur; dur != want {
+				t.Errorf("%q (%d options): Plan took %v, Query planned and estimated in %v", q, len(opts), dur, want)
+			}
+		}
 	}
 }

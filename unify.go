@@ -21,6 +21,7 @@ package unify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -73,9 +74,6 @@ type Config struct {
 	// shards, queries are admitted round-robin to a home machine, and the
 	// optimizer may scatter shardable operators across the cluster.
 	Machines int
-	// Partitioner overrides the shard assignment policy (nil =
-	// docstore.HashPartitioner). Only consulted when Machines > 1.
-	Partitioner docstore.Partitioner
 
 	// Batching enables cross-query continuous batching of operator LLM
 	// calls: compatible per-document calls (same task family, model, and
@@ -245,8 +243,8 @@ type System struct {
 	Calib     *cost.Calibrator
 
 	// Metrics is the system's process-wide metrics bundle (served by the
-	// HTTP server at /metrics and /v1/stats). Always installed by the
-	// Open* constructors; a nil bundle is a valid no-op sink.
+	// HTTP server at /metrics and /v1/stats). Always installed by New; a
+	// nil bundle is a valid no-op sink.
 	Metrics *obs.Metrics
 
 	// Cache is the shared semantic cache backing every caching layer
@@ -383,14 +381,10 @@ type Answer struct {
 	// when a tracer was installed in the query context via
 	// obs.WithTracer; render it with obs.Render or serialize via JSON().
 	Trace *obs.Span
-
-	// Call logs by phase, kept for metrics accounting.
-	planCalls []llm.Call
-	execCalls []llm.Call
 }
 
-// open assembles the system; every constructor funnels through here with
-// a defaulted Config and concrete dataset and clients.
+// open assembles the system from what New resolved: a defaulted Config,
+// a concrete dataset and concrete clients.
 func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, error) {
 	store, err := docstore.New(ds.Name, ds.Documents())
 	if err != nil {
@@ -466,7 +460,7 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	s.Executor.BatchSize = cfg.BatchSize
 	s.Executor.Pool = s.Pool
 	if cfg.Machines > 1 {
-		s.Sharding = store.Shard(cfg.Partitioner, cfg.Machines)
+		s.Sharding = store.Shard(nil, cfg.Machines)
 		s.Executor.Sharding = s.Sharding
 		metrics.EnablePerMachine(cfg.Machines)
 	}
@@ -589,12 +583,10 @@ func (s *System) Ingest(add []docstore.Document, update []docstore.Document) (*I
 	res.Generation = s.Store.Generation()
 	res.Docs = s.Store.Len()
 	s.PreprocessDur += time.Since(start)
-	if s.Metrics != nil {
-		s.Metrics.RecordIngest(res.Added, res.Updated, res.Generation)
-		if s.Views != nil {
-			vs := s.Views.Stats()
-			s.Metrics.RecordViews(vs.Columns, vs.Rows, vs.Hits, vs.Misses, vs.Backfills, vs.Invalidated)
-		}
+	s.Metrics.RecordIngest(res.Added, res.Updated, res.Generation)
+	if s.Views != nil {
+		vs := s.Views.Stats()
+		s.Metrics.RecordViews(vs.Columns, vs.Rows, vs.Hits, vs.Misses, vs.Backfills, vs.Invalidated)
 	}
 	return res, nil
 }
@@ -616,39 +608,6 @@ func (s *System) TrainSCE(ctx context.Context) error {
 	return s.Estimator.Train(ctx, preds, 24)
 }
 
-// Plan generates and optimizes the physical plan for a query without
-// executing it (EXPLAIN-style). The returned duration is the simulated
-// planning + estimation latency. It accepts the same options as Query;
-// WithTimeout and WithModeOverride apply, the rest are execution-only.
-func (s *System) Plan(ctx context.Context, q string, opts ...QueryOption) (*core.Plan, time.Duration, error) {
-	o := buildQueryOptions(opts)
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
-	if resolveLanguage(o.Language, q) == LangUSQL {
-		compiled, canonical, err := s.compileUSQL(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		plan, ostats, err := s.optimizerFor(o).OptimizeParsed(ctx, canonical, compiled)
-		if err != nil {
-			return nil, 0, fmt.Errorf("unify: optimizing %q: %w", q, err)
-		}
-		return plan, ostats.Duration / time.Duration(s.Config.Slots), nil
-	}
-	plans, pstats, err := s.Planner.GeneratePlans(ctx, q)
-	if err != nil {
-		return nil, 0, fmt.Errorf("unify: planning %q: %w", q, err)
-	}
-	plan, ostats, err := s.optimizerFor(o).Optimize(ctx, plans)
-	if err != nil {
-		return nil, 0, fmt.Errorf("unify: optimizing %q: %w", q, err)
-	}
-	return plan, pstats.Duration + ostats.Duration/time.Duration(s.Config.Slots), nil
-}
-
 // DetectLanguage reports which dialect auto-detection treats a query
 // string as: LangUSQL when its first token is SELECT (case-insensitive),
 // LangNL otherwise. It never returns LangAuto.
@@ -659,105 +618,430 @@ func DetectLanguage(q string) Language {
 	return LangNL
 }
 
-// resolveLanguage applies the auto-detection rule: an explicit choice
-// wins, otherwise DetectLanguage decides.
-func resolveLanguage(l Language, q string) Language {
-	if l != LangAuto {
-		return l
-	}
-	return DetectLanguage(q)
+// run is one query's state on its way through the phases: each phase
+// reads what the phases before it wrote and fills in its own part. It
+// lives on Query's (or Plan's) stack.
+type run struct {
+	q    string
+	opts QueryOptions
+	// span is the root "query" span; nil for Plan and for untraced
+	// queries, which makes every child span a no-op.
+	span *obs.Span
+
+	// admit
+	ticket *sched.Ticket
+	rid    string
+
+	// frontend
+	lang      Language
+	plans     []*core.Plan
+	pstats    *core.PlanStats
+	canonical string // canonical USQL text; "" on the planner route
+
+	// optimize
+	opt    *optimizer.Optimizer // the per-mode view the query optimized under
+	plan   *core.Plan
+	ostats *optimizer.Stats
+	estDur time.Duration
+
+	// execute
+	res *exec.Result
 }
 
-// compileUSQL parses and compiles a USQL statement against this
-// system's dataset, returning the logical plan and the canonical query
-// text (the exact plan-cache key input). Errors carry byte positions
-// from internal/usql.
-func (s *System) compileUSQL(q string) (*core.Plan, string, error) {
-	uq, err := usql.Parse(q)
-	if err != nil {
-		return nil, "", fmt.Errorf("unify: parsing %q: %w", q, err)
+// deadline applies the per-query timeout, if any.
+func (o QueryOptions) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.Timeout > 0 {
+		return context.WithTimeout(ctx, o.Timeout)
 	}
-	plan, err := usql.Compile(uq, usql.Env{Dataset: s.Dataset.Name, Entity: s.Dataset.EntityWord})
-	if err != nil {
-		return nil, "", fmt.Errorf("unify: compiling %q: %w", q, err)
-	}
-	return plan, uq.String(), nil
+	return ctx, func() {}
 }
 
-// optimizerFor resolves a per-query optimizer-mode override to a shallow
-// per-mode view of the shared optimizer (cache-safe: plan signatures
-// include the mode).
-func (s *System) optimizerFor(o QueryOptions) *optimizer.Optimizer {
-	if o.Mode == nil || *o.Mode == s.Optimizer.Mode {
-		return s.Optimizer
-	}
-	return s.Optimizer.WithMode(*o.Mode)
-}
-
-// Query answers one natural-language analytics query end to end:
-// logical plan generation, physical optimization, parallel execution on
-// the shared slot pool.
+// Query answers one analytics query end to end: admit → frontend →
+// optimize → execute → assemble, then the accounting tail (DESIGN.md
+// "Query lifecycle").
 //
 // Options set a per-query deadline (WithTimeout), slot-grant priority
-// (WithPriority), optimizer-strategy override (WithModeOverride), and
-// EXPLAIN ANALYZE capture (WithAnalyze). Installing a tracer in ctx
-// (obs.WithTracer) also captures the query's full span tree in
-// Answer.Trace — one span per planning iteration, optimizer phase, and
-// executed plan node, with LLM calls as leaves. Without a tracer the
-// span plumbing is nil and costs nothing.
+// (WithPriority), optimizer-strategy override (WithModeOverride), the
+// frontend (WithLanguage) and EXPLAIN ANALYZE capture (WithAnalyze).
+// Installing a tracer in ctx (obs.WithTracer) also captures the query's
+// full span tree in Answer.Trace — one span per planning iteration,
+// optimizer phase, and executed plan node, with LLM calls as leaves.
+// Without a tracer the span plumbing is nil and costs nothing.
 func (s *System) Query(ctx context.Context, q string, opts ...QueryOption) (*Answer, error) {
-	o := buildQueryOptions(opts)
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
+	r := run{q: q, opts: buildQueryOptions(opts)}
+	ctx, cancel := r.opts.deadline(ctx)
+	defer cancel()
+	ctx = s.admit(ctx, &r)
+	defer s.Pool.Release(r.ticket)
+
+	var ans *Answer
+	err := s.frontend(ctx, &r)
+	if err == nil {
+		err = s.optimize(ctx, &r)
 	}
+	if err == nil {
+		err = s.execute(ctx, &r)
+	}
+	if err == nil {
+		ans, err = s.assemble(&r)
+	}
+	if err != nil {
+		r.span.SetAttr("error", err.Error())
+	}
+	// The one place the root span ends, on every path: the tree is frozen
+	// before it is stored.
+	r.span.End()
+	return s.account(&r, ans, err)
+}
+
+// Plan generates and optimizes the physical plan for a query without
+// executing it (EXPLAIN-style): exactly Query's frontend and optimize
+// phases. The returned duration is the simulated planning + estimation
+// latency. It accepts the same options as Query; WithTimeout,
+// WithLanguage and WithModeOverride apply, the rest are execution-only.
+func (s *System) Plan(ctx context.Context, q string, opts ...QueryOption) (*core.Plan, time.Duration, error) {
+	r := run{q: q, opts: buildQueryOptions(opts)}
+	ctx, cancel := r.opts.deadline(ctx)
+	defer cancel()
+	if err := s.frontend(ctx, &r); err != nil {
+		return nil, 0, err
+	}
+	if err := s.optimize(ctx, &r); err != nil {
+		return nil, 0, err
+	}
+	return r.plan, r.pstats.Duration + r.estDur, nil
+}
+
+// admit opens the query: a tracer when one is needed, the root span, a
+// ticket on the shared slot pool (the caller releases it) and the
+// request id.
+func (s *System) admit(ctx context.Context, r *run) context.Context {
 	// A tracer is installed for Analyze, and also whenever the trace
 	// store retains history — stored traces need a real span tree even
 	// when the caller did not ask for EXPLAIN ANALYZE output.
-	if obs.TracerFrom(ctx) == nil && (o.Analyze || s.Traces != nil) {
+	if obs.TracerFrom(ctx) == nil && (r.opts.Analyze || s.Traces != nil) {
 		ctx = obs.WithTracer(ctx, obs.NewTracer())
 	}
-	qspan := obs.TracerFrom(ctx).Start("query", obs.KindQuery)
-	qspan.SetAttr("query", q)
-	defer qspan.End()
+	r.span = obs.TracerFrom(ctx).Start("query", obs.KindQuery)
+	r.span.SetAttr("query", r.q)
 
 	// Admission to the shared slot pool happens up front: queries whose
 	// lifetimes overlap share a virtual epoch and contend for the same
 	// simulated machine.
-	tk := s.Pool.Admit(o.Priority)
-	defer s.Pool.Release(tk)
-	ctx = sched.WithTicket(ctx, tk)
+	r.ticket = s.Pool.Admit(r.opts.Priority)
 
 	// The request id keys the trace store and the slow-query log: the
 	// serving layer's id when one rode in on the context, otherwise one
 	// minted from the admission sequence (deterministic per run).
-	rid := obs.RequestIDFrom(ctx)
-	if rid == "" {
-		rid = fmt.Sprintf("t-%d", tk.Seq()+1)
+	r.rid = obs.RequestIDFrom(ctx)
+	if r.rid == "" {
+		r.rid = fmt.Sprintf("t-%d", r.ticket.Seq()+1)
 	}
-	qspan.SetAttr("request_id", rid)
+	r.span.SetAttr("request_id", r.rid)
+	return sched.WithTicket(ctx, r.ticket)
+}
 
-	ans, err := s.query(ctx, q, qspan, o)
+// frontend produces the candidate logical plans: a USQL statement is
+// parsed and compiled, anything else goes to the LLM planner. Under
+// StrictChecks every candidate is validated before it is optimized.
+func (s *System) frontend(ctx context.Context, r *run) error {
+	r.lang = r.opts.Language
+	if r.lang == LangAuto {
+		r.lang = DetectLanguage(r.q)
+	}
+	var err error
+	if r.lang == LangUSQL {
+		err = s.parseUSQL(r)
+	} else {
+		err = s.planNL(ctx, r)
+	}
+	if err != nil {
+		return err
+	}
+	if s.Config.StrictChecks {
+		for i, lp := range r.plans {
+			if err := check.Fail(fmt.Sprintf("unify: logical plan %d for %q", i, r.q),
+				check.Plan(lp, s.Store.Len(), false), r.span); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// parseUSQL is the parsed route: deterministic scan/parse/compile
+// straight to the logical DAG — no planner LLM calls, zero planning
+// vtime. Errors carry byte positions from internal/usql.
+func (s *System) parseUSQL(r *run) error {
+	span := r.span.StartChild("parse", obs.KindPhase)
+	defer span.End()
+	uq, err := usql.Parse(r.q)
+	if err != nil {
+		return fmt.Errorf("unify: parsing %q: %w", r.q, err)
+	}
+	plan, err := usql.Compile(uq, usql.Env{Dataset: s.Dataset.Name, Entity: s.Dataset.EntityWord})
+	if err != nil {
+		return fmt.Errorf("unify: compiling %q: %w", r.q, err)
+	}
+	// The canonical text is the exact plan-cache key input.
+	r.plans, r.pstats, r.canonical = []*core.Plan{plan}, &core.PlanStats{}, uq.String()
+	span.SetAttr("lang", "usql")
+	span.SetAttr("canonical", r.canonical)
+	return nil
+}
+
+// planNL is the natural-language route: LLM-guided query reduction.
+func (s *System) planNL(ctx context.Context, r *run) error {
+	span := r.span.StartChild("planning", obs.KindPhase)
+	defer span.End()
+	var err error
+	r.plans, r.pstats, err = s.Planner.GeneratePlans(obs.WithSpan(ctx, span), r.q)
+	if err != nil {
+		return fmt.Errorf("unify: planning %q: %w", r.q, err)
+	}
+	span.SetVDur(r.pstats.Duration)
+	return nil
+}
+
+// optimize lowers the candidates to one physical plan under the query's
+// optimizer mode.
+func (s *System) optimize(ctx context.Context, r *run) error {
+	span := r.span.StartChild("optimize", obs.KindPhase)
+	defer span.End()
+	ctx = obs.WithSpan(ctx, span)
+	// A per-query mode override is a shallow per-mode view of the shared
+	// optimizer (cache-safe: plan signatures include the mode).
+	r.opt = s.Optimizer
+	if m := r.opts.Mode; m != nil && *m != s.Optimizer.Mode {
+		r.opt = s.Optimizer.WithMode(*m)
+	}
+	var err error
+	if r.canonical != "" {
+		// Exact plan-cache key over the canonical text: repeated
+		// parameterized USQL traffic always hits.
+		r.plan, r.ostats, err = r.opt.OptimizeParsed(ctx, r.canonical, r.plans[0])
+	} else {
+		r.plan, r.ostats, err = r.opt.Optimize(ctx, r.plans)
+	}
+	if err != nil {
+		return fmt.Errorf("unify: optimizing %q: %w", r.q, err)
+	}
+	// SCE judgments parallelize across the slot pool.
+	r.estDur = r.ostats.Duration / time.Duration(s.Config.Slots)
+	span.SetVDur(r.estDur)
+	span.SetInt("llm_calls", len(r.ostats.Calls))
+	span.SetAttr("est_cost", r.ostats.EstimatedCost.String())
+	return nil
+}
+
+// execute runs the physical plan on the shared pool. An operator failure
+// is answered by the single-node Generate fallback; cancellation and
+// invariant violations fail the query.
+func (s *System) execute(ctx context.Context, r *run) error {
+	span := r.span.StartChild("execute", obs.KindPhase)
+	defer span.End()
+	ctx = obs.WithSpan(ctx, span)
+	executor := s.Executor
+	if r.opt != s.Optimizer && executor.Replanner != nil {
+		// Replanning must use the same mode the query optimized under.
+		cp := *executor
+		cp.Replanner = r.opt
+		executor = &cp
+	}
+	res, err := executor.Run(ctx, r.plan)
+	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("unify: executing %q: %w", r.q, ctx.Err())
+		}
+		// A *check.Error says the system is wrong, not that an operator
+		// failed: falling back would answer the query and hide it.
+		var violation *check.Error
+		if errors.As(err, &violation) {
+			return err
+		}
+		// Plan adjustment at the system level: dynamic replanning via
+		// the Generate fallback rather than a complete restart.
+		fb := fallbackPlan(r.q)
+		span.SetAttr("replanned", "true")
+		if res, err = executor.Run(ctx, fb); err != nil {
+			return fmt.Errorf("unify: executing %q: %w", r.q, err)
+		}
+		r.plan, r.pstats.Fallback = fb, true
+	}
+	r.res = res
+	span.SetVDur(res.Makespan)
+	span.SetInt("llm_calls", res.LLMCalls)
+	span.SetAttr("slot_busy", res.SlotBusy.Round(time.Millisecond).String())
+	if res.Contended {
+		span.SetAttr("contended", "true")
+		span.SetAttr("grant_wait", res.GrantWait.Round(time.Millisecond).String())
+	}
+	if res.BatchedCalls > 0 {
+		span.SetInt("batched_calls", res.BatchedCalls)
+	}
+	if res.ViewHits > 0 {
+		span.SetInt("view_hits", res.ViewHits)
+	}
+	return nil
+}
+
+// assemble folds the phase results into the Answer — durations, call
+// counts, per-node statistics, the cost profile — and, under
+// StrictChecks, validates it.
+func (s *System) assemble(r *run) (*Answer, error) {
+	res, pstats, ostats := r.res, r.pstats, r.ostats
+	planCost := callCost(pstats.Calls, pstats.Duration)
+	optCost := callCost(ostats.Calls, r.estDur)
+	ans := &Answer{
+		Text:           s.FormatValue(res.Answer),
+		Value:          res.Answer,
+		Plan:           r.plan,
+		Lang:           r.lang,
+		Unresolved:     pstats.Unresolved,
+		PlanningDur:    pstats.Duration,
+		EstimationDur:  r.estDur,
+		ExecDur:        res.Makespan,
+		TotalDur:       pstats.Duration + r.estDur + res.Makespan,
+		SerialExecDur:  res.Serial,
+		LLMCalls:       len(pstats.Calls) + len(ostats.Calls) + res.LLMCalls,
+		CachedLLMCalls: planCost.CachedCalls + optCost.CachedCalls + res.CachedLLMCalls,
+		PlanCacheHit:   ostats.PlanCacheHit,
+		Fallback:       pstats.Fallback,
+		Adjusted:       res.Adjusted,
+		SkippedDocs:    res.SkippedDocs,
+		Partial:        res.SkippedDocs > 0,
+		ViewHits:       res.ViewHits,
+		Replans:        res.Replans,
+		SlotBusy:       res.SlotBusy,
+		SlotGrantWait:  res.GrantWait,
+		SoloExecDur:    res.SoloMakespan,
+		SchedStart:     res.PoolStart,
+		Contended:      res.Contended,
+		BatchedCalls:   res.BatchedCalls,
+		RequestID:      r.rid,
+		Trace:          r.span,
+	}
+	for _, nr := range res.Nodes {
+		busy := nr.PreDur
+		for _, c := range nr.Calls {
+			busy += c.Dur
+		}
+		ans.Nodes = append(ans.Nodes, NodeStat{
+			NodeID:   nr.NodeID,
+			Op:       nr.Op,
+			Physical: nr.Phys,
+			InCard:   nr.InCard,
+			OutCard:  nr.Value.Len(),
+			LLMCalls: len(nr.Calls),
+			Busy:     busy,
+		})
+	}
+	r.span.SetVDur(ans.TotalDur)
+	ans.Profile = costProfile(r, ans, planCost, optCost)
+	if s.Config.StrictChecks {
+		if err := s.checkAnswer(r, ans); err != nil {
+			return nil, err
+		}
+	}
+	return ans, nil
+}
+
+// costProfile is the per-operator cost attribution: phase classes plus
+// one class per operator identity (Op/Phys). Attribute splits the
+// execution makespan across operator classes proportionally to busy
+// time, so the class shares sum exactly to TotalDur.
+func costProfile(r *run, ans *Answer, planCost, optCost obs.OpCost) *obs.CostProfile {
+	res := r.res
+	prof := obs.NewCostProfile(r.rid)
+	prof.Add(obs.ClassPlanning, planCost)
+	prof.Add(obs.ClassOptimize, optCost)
+	var busyTotal time.Duration
+	for i, nr := range res.Nodes {
+		c := callCost(nr.Calls, ans.Nodes[i].Busy)
+		c.SkippedDocs = nr.SkippedDocs
+		c.GrantWait = nr.GrantWait
+		prof.Add(nr.Op+"/"+nr.Phys, c)
+		busyTotal += ans.Nodes[i].Busy
+	}
+	if res.Replans > 0 {
+		prof.Add(obs.ClassReplan, obs.OpCost{Executions: res.Replans, Busy: res.ReplanDur})
+		busyTotal += res.ReplanDur
+	}
+	prof.Attribute(ans.PlanningDur, ans.EstimationDur, ans.ExecDur)
+	// Stamp each operator span with its share of the query total (the
+	// per-node view of the same attribution).
+	if busyTotal > 0 && ans.TotalDur > 0 {
+		for i := range res.Nodes {
+			frac := float64(ans.Nodes[i].Busy) / float64(busyTotal) *
+				float64(ans.ExecDur) / float64(ans.TotalDur)
+			res.Nodes[i].Span.SetAttr("vtime_share", fmt.Sprintf("%.1f%%", 100*frac))
+		}
+	}
+	return prof
+}
+
+// checkAnswer runs the answer-level invariants: the accounting facts,
+// the profile's vtime attribution, and the freshness of every view row
+// the query was served.
+func (s *System) checkAnswer(r *run, ans *Answer) error {
+	scanned := 0
+	for _, ns := range ans.Nodes {
+		scanned += ns.InCard
+	}
+	facts := check.AnswerFacts{
+		Docs:           s.Store.Len(),
+		Slots:          s.clusterSlots(),
+		MaxReplans:     s.Executor.MaxReplans,
+		PlanNodes:      len(ans.Plan.Nodes),
+		NodeStats:      len(ans.Nodes),
+		ScannedDocs:    scanned,
+		SkippedDocs:    ans.SkippedDocs,
+		Replans:        ans.Replans,
+		LLMCalls:       ans.LLMCalls,
+		CachedLLMCalls: ans.CachedLLMCalls,
+		PlanningDur:    ans.PlanningDur,
+		EstimationDur:  ans.EstimationDur,
+		ExecDur:        ans.ExecDur,
+		TotalDur:       ans.TotalDur,
+		SoloExecDur:    ans.SoloExecDur,
+		SlotBusy:       ans.SlotBusy,
+		GrantWait:      ans.SlotGrantWait,
+	}
+	if err := check.Fail(fmt.Sprintf("unify: answer for %q", r.q), check.Answer(facts), r.span); err != nil {
+		return err
+	}
+	if err := check.Fail(fmt.Sprintf("unify: cost profile for %q", r.q),
+		check.ProfileAttribution(ans.Profile, ans.TotalDur), r.span); err != nil {
+		return err
+	}
+	if s.Views == nil {
+		return nil
+	}
+	// Replay every view row this query served against the live content
+	// hashes: a stale row reaching an answer is a views.column_fresh
+	// violation.
+	stale := s.Views.AuditServed(s.Store.ContentHash)
+	return check.Fail(fmt.Sprintf("unify: view rows served for %q", r.q), check.ViewsFresh(stale), r.span)
+}
+
+// account is the tail every query passes through once its root span has
+// ended: a failure is counted and its trace retained; a completed query
+// is charged to the registry, the profiler, the trace store and the
+// slow-query log, in that order.
+func (s *System) account(r *run, ans *Answer, err error) (*Answer, error) {
 	if err != nil {
 		s.Metrics.RecordQueryFailed()
-		qspan.SetAttr("error", err.Error())
-		qspan.End()
-		s.retainTrace(rid, tk.Seq(), "error", q, 0, 0, 0, qspan)
+		s.retainTrace(r, "error", 0, 0, 0)
 		return nil, err
 	}
-	ans.RequestID = rid
-	ans.Profile.RequestID = rid
-	ans.Trace = qspan
-	qspan.End() // freeze the tree before it is stored
 	// Registry first, profiler second: the profile.global_bound
 	// invariant relies on profile counters never leading the globals.
-	s.recordQueryMetrics(ans)
+	s.recordQueryMetrics(r, ans)
 	s.Profiler.Record(ans.Profile)
-	s.retainTrace(rid, tk.Seq(), "ok", q, ans.TotalDur, ans.LLMCalls, len(ans.Nodes), qspan)
-	s.observeSlow(q, ans)
+	s.retainTrace(r, "ok", ans.TotalDur, ans.LLMCalls, len(ans.Nodes))
+	s.observeSlow(r.q, ans)
 	if s.Config.StrictChecks {
-		if err := s.checkProfileBound(q, qspan); err != nil {
+		if err := s.checkProfileBound(r.q, r.span); err != nil {
 			return nil, err
 		}
 	}
@@ -766,14 +1050,12 @@ func (s *System) Query(ctx context.Context, q string, opts ...QueryOption) (*Ans
 
 // retainTrace stores a completed query's span tree in the trace store
 // (no-op when retention is disabled) and refreshes the store gauges.
-func (s *System) retainTrace(id string, seq int64, status, q string, vtime time.Duration, llmCalls, operators int, root *obs.Span) {
-	if s.Traces == nil || root == nil {
+func (s *System) retainTrace(r *run, status string, vtime time.Duration, llmCalls, operators int) {
+	if s.Traces == nil || r.span == nil {
 		return
 	}
-	s.Traces.Put(id, seq, status, q, vtime, llmCalls, operators, root)
-	if s.Metrics != nil {
-		s.Metrics.RecordTraceStore(s.Traces.Len(), s.Traces.Evicted())
-	}
+	s.Traces.Put(r.rid, r.ticket.Seq(), status, r.q, vtime, llmCalls, operators, r.span)
+	s.Metrics.RecordTraceStore(s.Traces.Len(), s.Traces.Evicted())
 }
 
 // observeSlow feeds a completed query to the slow-query log.
@@ -789,7 +1071,7 @@ func (s *System) observeSlow(q string, ans *Answer) {
 		Operators:   len(ans.Nodes),
 		Contended:   ans.Contended,
 	})
-	if slow && s.Metrics != nil {
+	if slow {
 		s.Metrics.RecordSlowQuery()
 	}
 }
@@ -821,250 +1103,6 @@ func (s *System) checkProfileBound(q string, qspan *obs.Span) error {
 		check.ProfileGlobalBound(pairs), qspan)
 }
 
-func (s *System) query(ctx context.Context, q string, qspan *obs.Span, o QueryOptions) (*Answer, error) {
-	lang := resolveLanguage(o.Language, q)
-	var (
-		plans     []*core.Plan
-		pstats    *core.PlanStats
-		canonical string // canonical USQL text; "" on the planner route
-	)
-	if lang == LangUSQL {
-		// The parsed route: deterministic scan/parse/compile straight to
-		// the logical DAG — no planner LLM calls, zero planning vtime.
-		pspan := qspan.StartChild("parse", obs.KindPhase)
-		// Each phase ends its span where the phase finishes; the deferred
-		// End (idempotent) covers the error returns, so a trace retained
-		// with status=error has no open span.
-		defer pspan.End()
-		compiled, canon, err := s.compileUSQL(q)
-		if err != nil {
-			return nil, err
-		}
-		canonical = canon
-		pspan.SetAttr("lang", "usql")
-		pspan.SetAttr("canonical", canonical)
-		pspan.End()
-		plans = []*core.Plan{compiled}
-		pstats = &core.PlanStats{}
-	} else {
-		pspan := qspan.StartChild("planning", obs.KindPhase)
-		defer pspan.End()
-		var err error
-		plans, pstats, err = s.Planner.GeneratePlans(obs.WithSpan(ctx, pspan), q)
-		if err != nil {
-			return nil, fmt.Errorf("unify: planning %q: %w", q, err)
-		}
-		pspan.SetVDur(pstats.Duration)
-		pspan.End()
-	}
-	if s.Config.StrictChecks {
-		for i, lp := range plans {
-			if err := check.Fail(fmt.Sprintf("unify: logical plan %d for %q", i, q),
-				check.Plan(lp, s.Store.Len(), false), qspan); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	opt := s.optimizerFor(o)
-	executor := s.Executor
-	if opt != s.Optimizer && executor.Replanner != nil {
-		// Replanning must use the same mode the query optimized under.
-		cp := *executor
-		cp.Replanner = opt
-		executor = &cp
-	}
-
-	ospan := qspan.StartChild("optimize", obs.KindPhase)
-	defer ospan.End()
-	var (
-		plan   *core.Plan
-		ostats *optimizer.Stats
-		err    error
-	)
-	if canonical != "" {
-		// Exact plan-cache key over the canonical text: repeated
-		// parameterized USQL traffic always hits.
-		plan, ostats, err = opt.OptimizeParsed(obs.WithSpan(ctx, ospan), canonical, plans[0])
-	} else {
-		plan, ostats, err = opt.Optimize(obs.WithSpan(ctx, ospan), plans)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("unify: optimizing %q: %w", q, err)
-	}
-	// SCE judgments parallelize across the slot pool.
-	estDur := ostats.Duration / time.Duration(s.Config.Slots)
-	ospan.SetVDur(estDur)
-	ospan.SetInt("llm_calls", len(ostats.Calls))
-	ospan.SetAttr("est_cost", ostats.EstimatedCost.String())
-	ospan.End()
-
-	espan := qspan.StartChild("execute", obs.KindPhase)
-	defer espan.End()
-	res, err := executor.Run(obs.WithSpan(ctx, espan), plan)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("unify: executing %q: %w", q, ctx.Err())
-		}
-		// Plan adjustment at the system level: dynamic replanning via
-		// the Generate fallback rather than a complete restart.
-		fb := fallbackPlan(q)
-		espan.SetAttr("replanned", "true")
-		res, err = executor.Run(obs.WithSpan(ctx, espan), fb)
-		if err != nil {
-			return nil, fmt.Errorf("unify: executing %q: %w", q, err)
-		}
-		plan = fb
-		pstats.Fallback = true
-	}
-	espan.SetVDur(res.Makespan)
-	espan.SetInt("llm_calls", res.LLMCalls)
-	espan.SetAttr("slot_busy", res.SlotBusy.Round(time.Millisecond).String())
-	if res.Contended {
-		espan.SetAttr("contended", "true")
-		espan.SetAttr("grant_wait", res.GrantWait.Round(time.Millisecond).String())
-	}
-	if res.BatchedCalls > 0 {
-		espan.SetInt("batched_calls", res.BatchedCalls)
-	}
-	if res.ViewHits > 0 {
-		espan.SetInt("view_hits", res.ViewHits)
-	}
-	espan.End()
-
-	ans := &Answer{
-		Value:         res.Answer,
-		Plan:          plan,
-		Lang:          lang,
-		PlanningDur:   pstats.Duration,
-		EstimationDur: estDur,
-		ExecDur:       res.Makespan,
-		SerialExecDur: res.Serial,
-		LLMCalls:      len(pstats.Calls) + len(ostats.Calls) + res.LLMCalls,
-		Fallback:      pstats.Fallback,
-		Adjusted:      res.Adjusted,
-		SkippedDocs:   res.SkippedDocs,
-		Partial:       res.SkippedDocs > 0,
-		ViewHits:      res.ViewHits,
-		Replans:       res.Replans,
-	}
-	ans.PlanCacheHit = ostats.PlanCacheHit
-	ans.CachedLLMCalls = res.CachedLLMCalls
-	for _, c := range pstats.Calls {
-		if c.Cached {
-			ans.CachedLLMCalls++
-		}
-	}
-	for _, c := range ostats.Calls {
-		if c.Cached {
-			ans.CachedLLMCalls++
-		}
-	}
-	ans.Unresolved = pstats.Unresolved
-	for _, nr := range res.Nodes {
-		var busy time.Duration
-		for _, c := range nr.Calls {
-			busy += c.Dur
-		}
-		busy += nr.PreDur
-		ans.Nodes = append(ans.Nodes, NodeStat{
-			NodeID:   nr.NodeID,
-			Op:       nr.Op,
-			Physical: nr.Phys,
-			InCard:   nr.InCard,
-			OutCard:  nr.Value.Len(),
-			LLMCalls: len(nr.Calls),
-			Busy:     busy,
-		})
-	}
-	ans.TotalDur = ans.PlanningDur + ans.EstimationDur + ans.ExecDur
-	ans.Text = s.FormatValue(res.Answer)
-	qspan.SetVDur(ans.TotalDur)
-	ans.planCalls = append(append([]llm.Call(nil), pstats.Calls...), ostats.Calls...)
-	ans.execCalls = execCalls(res)
-	ans.SlotBusy = res.SlotBusy
-	ans.SlotGrantWait = res.GrantWait
-	ans.SoloExecDur = res.SoloMakespan
-	ans.SchedStart = res.PoolStart
-	ans.Contended = res.Contended
-	ans.BatchedCalls = res.BatchedCalls
-
-	// Per-operator cost attribution: phase classes plus one class per
-	// operator identity (Op/Phys). Attribute splits the execution
-	// makespan across operator classes proportionally to busy time, so
-	// the class shares sum exactly to TotalDur.
-	prof := obs.NewCostProfile("")
-	prof.Add(obs.ClassPlanning, callCost(pstats.Calls, pstats.Duration))
-	prof.Add(obs.ClassOptimize, callCost(ostats.Calls, estDur))
-	var busyTotal time.Duration
-	for i, nr := range res.Nodes {
-		c := callCost(nr.Calls, ans.Nodes[i].Busy)
-		c.SkippedDocs = nr.SkippedDocs
-		c.GrantWait = nr.GrantWait
-		prof.Add(nr.Op+"/"+nr.Phys, c)
-		busyTotal += ans.Nodes[i].Busy
-	}
-	if res.Replans > 0 {
-		prof.Add(obs.ClassReplan, obs.OpCost{Executions: res.Replans, Busy: res.ReplanDur})
-		busyTotal += res.ReplanDur
-	}
-	prof.Attribute(ans.PlanningDur, ans.EstimationDur, ans.ExecDur)
-	ans.Profile = prof
-	// Stamp each operator span with its share of the query total (the
-	// per-node view of the same attribution).
-	if busyTotal > 0 && ans.TotalDur > 0 {
-		for i := range res.Nodes {
-			frac := float64(ans.Nodes[i].Busy) / float64(busyTotal) *
-				float64(ans.ExecDur) / float64(ans.TotalDur)
-			res.Nodes[i].Span.SetAttr("vtime_share", fmt.Sprintf("%.1f%%", 100*frac))
-		}
-	}
-
-	if s.Config.StrictChecks {
-		scanned := 0
-		for _, ns := range ans.Nodes {
-			scanned += ns.InCard
-		}
-		facts := check.AnswerFacts{
-			Docs:           s.Store.Len(),
-			Slots:          s.clusterSlots(),
-			MaxReplans:     executor.MaxReplans,
-			PlanNodes:      len(plan.Nodes),
-			NodeStats:      len(ans.Nodes),
-			ScannedDocs:    scanned,
-			SkippedDocs:    ans.SkippedDocs,
-			Replans:        ans.Replans,
-			LLMCalls:       ans.LLMCalls,
-			CachedLLMCalls: ans.CachedLLMCalls,
-			PlanningDur:    ans.PlanningDur,
-			EstimationDur:  ans.EstimationDur,
-			ExecDur:        ans.ExecDur,
-			TotalDur:       ans.TotalDur,
-			SoloExecDur:    ans.SoloExecDur,
-			SlotBusy:       ans.SlotBusy,
-			GrantWait:      ans.SlotGrantWait,
-		}
-		if err := check.Fail(fmt.Sprintf("unify: answer for %q", q), check.Answer(facts), qspan); err != nil {
-			return nil, err
-		}
-		if err := check.Fail(fmt.Sprintf("unify: cost profile for %q", q),
-			check.ProfileAttribution(ans.Profile, ans.TotalDur), qspan); err != nil {
-			return nil, err
-		}
-		if s.Views != nil {
-			// Replay every view row this query served against the live
-			// content hashes: a stale row reaching an answer is a
-			// views.column_fresh violation.
-			stale := s.Views.AuditServed(s.Store.ContentHash)
-			if err := check.Fail(fmt.Sprintf("unify: view rows served for %q", q),
-				check.ViewsFresh(stale), qspan); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ans, nil
-}
-
 // callCost folds one phase's or node's call log into an OpCost. The
 // convention matches the profiler: LLMCalls counts model invocations
 // that did real work, CachedCalls counts invocations served by the
@@ -1084,34 +1122,19 @@ func callCost(calls []llm.Call, busy time.Duration) obs.OpCost {
 	return c
 }
 
-// execCalls flattens the per-node call logs of one execution.
-func execCalls(res *exec.Result) []llm.Call {
-	var out []llm.Call
-	for _, nr := range res.Nodes {
-		out = append(out, nr.Calls...)
-	}
-	return out
-}
-
 // recordQueryMetrics charges a completed query to the metrics registry.
-func (s *System) recordQueryMetrics(ans *Answer) {
+func (s *System) recordQueryMetrics(r *run, ans *Answer) {
 	m := s.Metrics
 	if m == nil {
 		return
 	}
 	m.RecordQueryOK(ans.RequestID, ans.TotalDur, ans.PlanningDur+ans.EstimationDur, ans.ExecDur)
 	m.RecordOpCosts(ans.Profile)
-	for _, c := range ans.planCalls {
-		m.RecordCall(c.Task, c.InTokens, c.OutTokens)
-		if c.Cached {
-			m.LLMCachedCalls.IncL(callTask(c))
-		}
-	}
-	for _, c := range ans.execCalls {
-		m.RecordCall(c.Task, c.InTokens, c.OutTokens)
-		if c.Cached {
-			m.LLMCachedCalls.IncL(callTask(c))
-		}
+	// Planner calls, optimizer calls, then node calls in plan order.
+	recordCalls(m, r.pstats.Calls)
+	recordCalls(m, r.ostats.Calls)
+	for _, nr := range r.res.Nodes {
+		recordCalls(m, nr.Calls)
 	}
 	if ans.Fallback {
 		m.PlanFallbacks.Inc()
@@ -1125,21 +1148,19 @@ func (s *System) recordQueryMetrics(ans *Answer) {
 	m.RecordDegradation(ans.Replans, ans.SkippedDocs)
 	m.RecordSlots(ans.SlotBusy, ans.ExecDur, s.clusterSlots())
 	m.RecordGrantWait(ans.RequestID, ans.SlotGrantWait)
-	if s.Pool != nil {
-		ps := s.Pool.Stats()
-		m.RecordPool(ps.Active, ps.Utilization)
-		if ps.Machines > 1 {
-			active := make([]int, len(ps.PerMachine))
-			util := make([]float64, len(ps.PerMachine))
-			for i, pm := range ps.PerMachine {
-				active[i] = pm.Active
-				util[i] = pm.Utilization
-			}
-			m.RecordPoolMachines(active, util)
+	ps := s.Pool.Stats()
+	m.RecordPool(ps.Active, ps.Utilization)
+	if ps.Machines > 1 {
+		active := make([]int, len(ps.PerMachine))
+		util := make([]float64, len(ps.PerMachine))
+		for i, pm := range ps.PerMachine {
+			active[i] = pm.Active
+			util[i] = pm.Utilization
 		}
-		if s.Config.Batching {
-			m.RecordBatching(ps.BatchGrants, ps.BatchedUnits, ps.BatchOccupancy, ps.BatchSavedVTime)
-		}
+		m.RecordPoolMachines(active, util)
+	}
+	if s.Config.Batching {
+		m.RecordBatching(ps.BatchGrants, ps.BatchedUnits, ps.BatchOccupancy, ps.BatchSavedVTime)
 	}
 	if s.Views != nil {
 		vs := s.Views.Stats()
@@ -1154,15 +1175,21 @@ func (s *System) recordQueryMetrics(ans *Answer) {
 	}
 }
 
-// clusterSlots is the cluster-wide slot count: the per-machine Slots
-// times the cluster width (identical to Slots on single-machine
-// systems, so their accounting is untouched).
-func (s *System) clusterSlots() int {
-	m := s.Config.Machines
-	if m < 1 {
-		m = 1
+// recordCalls charges one call log to the per-task call counters.
+func recordCalls(m *obs.Metrics, calls []llm.Call) {
+	for _, c := range calls {
+		m.RecordCall(c.Task, c.InTokens, c.OutTokens)
+		if c.Cached {
+			m.LLMCachedCalls.IncL(callTask(c))
+		}
 	}
-	return s.Config.Slots * m
+}
+
+// clusterSlots is the cluster-wide slot count: the per-machine Slots
+// times the cluster width (Config.defaults keeps Machines >= 1, so it is
+// Slots itself on single-machine systems).
+func (s *System) clusterSlots() int {
+	return s.Config.Slots * s.Config.Machines
 }
 
 // callTask normalizes a call's task label for metrics.

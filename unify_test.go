@@ -24,7 +24,7 @@ func openSmall(t *testing.T, n int) (*System, *corpus.Dataset) {
 		t.Fatal(err)
 	}
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1} // zero noise
-	sys, err := OpenDataset(ds, Config{Dataset: "sports", Sim: &sim, StrictChecks: true})
+	sys, err := New(WithConfig(Config{Dataset: "sports", Sim: &sim, StrictChecks: true}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestOpenWithCustomClients(t *testing.T) {
 	}
 	cfg := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 99}
 	pcfg := llm.SimConfig{Profile: llm.PlannerProfile(), Seed: 99}
-	sys, err := OpenWithClients(ds, Config{Dataset: "sports"}, llm.NewSim(pcfg), llm.NewSim(cfg))
+	sys, err := New(WithConfig(Config{Dataset: "sports"}), WithCorpus(ds), WithClients(llm.NewSim(pcfg), llm.NewSim(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestAllDatasetsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
-		sys, err := OpenDataset(ds, Config{Dataset: name, Sim: &sim})
+		sys, err := New(WithConfig(Config{Dataset: name, Sim: &sim}), WithCorpus(ds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestWorkloadAccuracyRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := OpenDataset(ds, Config{Dataset: "sports", TrainSCE: true})
+	sys, err := New(WithConfig(Config{Dataset: "sports", TrainSCE: true}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +398,13 @@ func TestWorkloadAccuracyRegression(t *testing.T) {
 }
 
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open(Config{Dataset: "nonexistent"}); err == nil {
+	if _, err := New(WithConfig(Config{Dataset: "nonexistent"})); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }
 
 func TestOpenPaperDefaultsSmall(t *testing.T) {
-	sys, err := Open(Config{Dataset: "wiki", Size: 120})
+	sys, err := New(WithConfig(Config{Dataset: "wiki", Size: 120}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestOpenPaperDefaultsSmall(t *testing.T) {
 
 func TestTrainSCEPreprocessAccounted(t *testing.T) {
 	ds, _ := corpus.GenerateN("sports", 150)
-	sys, err := OpenDataset(ds, Config{Dataset: "sports", TrainSCE: true})
+	sys, err := New(WithConfig(Config{Dataset: "sports", TrainSCE: true}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
