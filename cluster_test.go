@@ -75,6 +75,11 @@ func TestClusterM1MatchesSeedGolden(t *testing.T) {
 
 	var buf bytes.Buffer
 	sys.Metrics.Reg.WritePrometheus(&buf)
+	if os.Getenv("UPDATE_GOLDENS") != "" {
+		if err := os.WriteFile("testdata/seed_m1_metrics.prom", buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	wantProm, err := os.ReadFile("testdata/seed_m1_metrics.prom")
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,8 @@
 // entries age out of the LRU.
 //
 // Layers are typed, named views over the shared LRU (see Layer). Each
-// layer tracks its own hit/miss/eviction/coalesce counters, and the LRU
-// emits per-layer events through an optional hook so callers can mirror
-// the counters into a metrics registry.
+// layer owns its hit/miss/eviction/coalesce counters; LayerStats is the
+// one place to read them, and a lookup never calls out of the package.
 //
 // Values handed back by Get/GetOrCompute are shared between callers:
 // treat them as immutable.
@@ -24,36 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Event identifies one cache occurrence for the event hook.
-type Event int
-
-// Cache events.
-const (
-	// EventHit: a lookup was served from the cache.
-	EventHit Event = iota
-	// EventMiss: a lookup required computing the value.
-	EventMiss
-	// EventEvict: an entry was removed to respect the byte budget.
-	EventEvict
-	// EventCoalesce: a lookup joined an identical in-flight computation
-	// instead of recomputing.
-	EventCoalesce
-)
-
-func (e Event) String() string {
-	switch e {
-	case EventHit:
-		return "hit"
-	case EventMiss:
-		return "miss"
-	case EventEvict:
-		return "evict"
-	case EventCoalesce:
-		return "coalesce"
-	}
-	return "unknown"
-}
 
 // Stats is a point-in-time snapshot of one layer (or the whole LRU).
 type Stats struct {
@@ -192,9 +161,8 @@ type shard struct {
 // usable. A nil *LRU is a valid "caching disabled" sink: layers over a
 // nil LRU compute every lookup.
 type LRU struct {
-	shards  []*shard
-	seed    maphash.Seed
-	onEvent func(layer string, ev Event, n int)
+	shards []*shard
+	seed   maphash.Seed
 
 	mu     sync.Mutex
 	layers map[string]*layerStats
@@ -215,13 +183,6 @@ func WithShards(n int) Option {
 		}
 		l.shards = make([]*shard, p)
 	}
-}
-
-// WithEvents installs a per-event hook (layer name, event, count). The
-// hook runs outside the shard locks on the caller's goroutine; it must be
-// safe for concurrent use.
-func WithEvents(fn func(layer string, ev Event, n int)) Option {
-	return func(l *LRU) { l.onEvent = fn }
 }
 
 // DefaultShards is the default lock-domain count.
@@ -272,12 +233,6 @@ func (l *LRU) layer(name string) *layerStats {
 	return ls
 }
 
-func (l *LRU) emit(layer string, ev Event, n int) {
-	if l.onEvent != nil && n > 0 {
-		l.onEvent(layer, ev, n)
-	}
-}
-
 // findLocked walks the digest's collision chain for the entry whose layer
 // and key are the ones asked for. Caller holds sh.mu.
 func (sh *shard) findLocked(hash uint64, ls *layerStats, key Key) *entry {
@@ -317,17 +272,13 @@ func (sh *shard) removeLocked(e *entry) {
 	sh.bytes -= e.bytes
 	e.layer.entries.Add(-1)
 	e.layer.bytes.Add(-e.bytes)
-	e.layer.evictions.Add(1)
 }
 
 // insertLocked adds or replaces an entry, then evicts from the LRU tail
-// until the shard respects its budget. Returns the layers that lost
-// entries (for event emission outside the lock). Caller holds sh.mu.
-func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *layerStats) []*layerStats {
+// until the shard respects its budget. Caller holds sh.mu.
+func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *layerStats) {
 	if old := sh.findLocked(hash, ls, key); old != nil {
-		sh.removeLocked(old)
-		// Replacing an entry is not an eviction; undo the count.
-		ls.evictions.Add(^uint64(0))
+		sh.removeLocked(old) // replaced, not evicted
 	}
 	e := &entry{hash: hash, key: key, val: val, bytes: cost, layer: ls, next: sh.items[hash]}
 	e.el = sh.ll.PushFront(e)
@@ -335,13 +286,11 @@ func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *lay
 	sh.bytes += cost
 	ls.entries.Add(1)
 	ls.bytes.Add(cost)
-	var evicted []*layerStats
 	for sh.bytes > sh.budget && sh.ll.Len() > 0 {
 		back := sh.ll.Back().Value.(*entry)
-		evicted = append(evicted, back.layer)
 		sh.removeLocked(back)
+		back.layer.evictions.Add(1)
 	}
-	return evicted
 }
 
 // get returns the cached value for (layer, key).
@@ -355,11 +304,9 @@ func (l *LRU) get(ls *layerStats, key Key) (any, bool) {
 	sh.mu.Unlock()
 	if ok {
 		ls.hits.Add(1)
-		l.emit(ls.name, EventHit, 1)
 		return v, true
 	}
 	ls.misses.Add(1)
-	l.emit(ls.name, EventMiss, 1)
 	return nil, false
 }
 
@@ -373,11 +320,8 @@ func (l *LRU) put(ls *layerStats, key Key, val any, cost int64) {
 	}
 	hash, sh := l.locate(ls, key)
 	sh.mu.Lock()
-	evicted := sh.insertLocked(hash, key, val, cost, ls)
+	sh.insertLocked(hash, key, val, cost, ls)
 	sh.mu.Unlock()
-	for _, el := range evicted {
-		l.emit(el.name, EventEvict, 1)
-	}
 }
 
 // do implements GetOrCompute with singleflight coalescing: the first
@@ -394,7 +338,6 @@ func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (
 	if v, ok := sh.lookupLocked(hash, ls, key); ok {
 		sh.mu.Unlock()
 		ls.hits.Add(1)
-		l.emit(ls.name, EventHit, 1)
 		return v, true, nil
 	}
 	for _, f := range sh.inflight {
@@ -405,13 +348,10 @@ func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (
 		<-f.done
 		if f.err != nil {
 			ls.misses.Add(1)
-			l.emit(ls.name, EventMiss, 1)
 			return nil, false, f.err
 		}
 		ls.hits.Add(1)
 		ls.coalesced.Add(1)
-		l.emit(ls.name, EventHit, 1)
-		l.emit(ls.name, EventCoalesce, 1)
 		return f.val, true, nil
 	}
 	// Until compute returns, the flight's outcome is "panicked": the
@@ -421,25 +361,20 @@ func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (
 	sh.inflight = append(sh.inflight, f)
 	sh.mu.Unlock()
 	ls.misses.Add(1)
-	l.emit(ls.name, EventMiss, 1)
 
 	defer func() {
 		sh.mu.Lock()
 		i := slices.Index(sh.inflight, f)
 		sh.inflight = slices.Delete(sh.inflight, i, i+1)
-		var evicted []*layerStats
 		if f.err == nil {
 			c := cost(f.val)
 			if c < 1 {
 				c = 1
 			}
-			evicted = sh.insertLocked(hash, key, f.val, c, ls)
+			sh.insertLocked(hash, key, f.val, c, ls)
 		}
 		sh.mu.Unlock()
 		close(f.done)
-		for _, el := range evicted {
-			l.emit(el.name, EventEvict, 1)
-		}
 	}()
 	f.val, f.err = compute()
 	return f.val, false, f.err

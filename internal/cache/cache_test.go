@@ -147,32 +147,29 @@ func TestNilLayerAndNilLRU(t *testing.T) {
 }
 
 func TestEvents(t *testing.T) {
-	var mu sync.Mutex
-	counts := map[string]int{}
-	l := New(60, WithShards(1), WithEvents(func(layer string, ev Event, n int) {
-		mu.Lock()
-		counts[layer+"/"+ev.String()] += n
-		mu.Unlock()
-	}))
+	l := New(60, WithShards(1))
 	lay := NewLayer[string](l, "evt", func(s string) int64 { return int64(len(s)) })
 	for i := 0; i < 10; i++ {
 		lay.GetOrCompute(fmt.Sprintf("key-%d", i), func() (string, error) { return "0123456789", nil })
 	}
 	lay.GetOrCompute("key-9", func() (string, error) { return "0123456789", nil })
-	mu.Lock()
-	defer mu.Unlock()
-	if counts["evt/miss"] != 10 {
-		t.Fatalf("miss events = %d, want 10", counts["evt/miss"])
-	}
-	if counts["evt/hit"] != 1 {
-		t.Fatalf("hit events = %d, want 1", counts["evt/hit"])
-	}
-	if counts["evt/evict"] == 0 {
-		t.Fatal("expected evict events under tight budget")
-	}
 	st := lay.Stats()
-	if uint64(counts["evt/evict"]) != st.Evictions {
-		t.Fatalf("evict events %d != stats evictions %d", counts["evt/evict"], st.Evictions)
+	if st.Misses != 10 {
+		t.Fatalf("misses = %d, want 10", st.Misses)
+	}
+	if st.Hits != 1 {
+		t.Fatalf("hits = %d, want 1", st.Hits)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("expected evictions under tight budget")
+	}
+	// Every computed value is either resident or was evicted.
+	if st.Evictions+uint64(st.Entries) != st.Misses {
+		t.Fatalf("evictions %d + entries %d != misses %d", st.Evictions, st.Entries, st.Misses)
+	}
+	// The per-layer snapshot the metrics registry reads is the same one.
+	if got := l.LayerStats()["evt"]; got != st {
+		t.Fatalf("LayerStats = %+v, layer Stats = %+v", got, st)
 	}
 }
 

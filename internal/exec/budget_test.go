@@ -22,7 +22,7 @@ func TestErrorBudgetDegradesGracefully(t *testing.T) {
 	// Fault half the filter batches; without retries the budget is the
 	// only defense.
 	e2, _ := setup(t, 300)
-	e2.Worker = faults.New(e2.Worker, faults.Uniform(faults.Transient, 0.5, 5, "filter_batch"), nil)
+	e2.Worker = faults.New(e2.Worker, faults.Uniform(faults.Transient, 0.5, 5, "filter_batch"))
 	e2.NodeErrorBudget = 32
 	res, err := e2.Run(context.Background(), countPlan("related to injury"))
 	if err != nil {
@@ -49,7 +49,7 @@ func TestErrorBudgetDegradesGracefully(t *testing.T) {
 // complete only if a pre-programmed fallback absorbed the node.
 func TestNoBudgetFailsFast(t *testing.T) {
 	e, _ := setup(t, 200)
-	e.Worker = faults.New(e.Worker, faults.Uniform(faults.Transient, 1, 5, "filter_batch", "filter_doc", "filter_label"), nil)
+	e.Worker = faults.New(e.Worker, faults.Uniform(faults.Transient, 1, 5, "filter_batch", "filter_doc", "filter_label"))
 	res, err := e.Run(context.Background(), countPlan("related to injury"))
 	if err == nil && !res.Adjusted {
 		t.Error("plan survived total LLM failure without adjustment or error")

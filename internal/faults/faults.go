@@ -130,8 +130,6 @@ func (e *Error) FaultDur() time.Duration { return e.VDur }
 type Client struct {
 	inner llm.Client
 	plan  *Plan
-	// onInject observes every injected fault; nil is ignored.
-	onInject func(kind Kind, task string)
 
 	mu       sync.Mutex
 	disabled bool
@@ -157,10 +155,9 @@ func (c *Client) enabled() bool {
 }
 
 // New wraps inner with fault injection under plan. A nil or empty plan
-// yields a pass-through wrapper. onInject may be nil.
-func New(inner llm.Client, plan *Plan, onInject func(kind Kind, task string)) *Client {
-	return &Client{inner: inner, plan: plan, onInject: onInject,
-		occ: map[string]int{}, stats: map[Kind]int64{}}
+// yields a pass-through wrapper.
+func New(inner llm.Client, plan *Plan) *Client {
+	return &Client{inner: inner, plan: plan, occ: map[string]int{}, stats: map[Kind]int64{}}
 }
 
 // Stats returns the per-kind injected-fault counts so far.
@@ -185,13 +182,10 @@ func (c *Client) Injected() int64 {
 	return n
 }
 
-func (c *Client) record(kind Kind, task string) {
+func (c *Client) record(kind Kind) {
 	c.statsMu.Lock()
 	c.stats[kind]++
 	c.statsMu.Unlock()
-	if c.onInject != nil {
-		c.onInject(kind, task)
-	}
 }
 
 // nextOcc returns the occurrence index of this prompt (0 on first sight),
@@ -242,11 +236,11 @@ func (c *Client) Do(ctx context.Context, req *llm.Request) (llm.Response, error)
 		}
 		switch r.Kind {
 		case Transient:
-			c.record(Transient, task)
+			c.record(Transient)
 			return llm.Response{}, &Error{Kind: Transient, Task: task,
 				VDur: c.inner.Profile().Base, err: llm.ErrTransient}
 		case Timeout:
-			c.record(Timeout, task)
+			c.record(Timeout)
 			lat := r.Latency
 			if lat <= 0 {
 				lat = 2 * time.Second
@@ -258,7 +252,7 @@ func (c *Client) Do(ctx context.Context, req *llm.Request) (llm.Response, error)
 			if err != nil || resp.Cached {
 				return resp, err
 			}
-			c.record(Slow, task)
+			c.record(Slow)
 			f := r.Factor
 			if f <= 1 {
 				f = 8
@@ -270,7 +264,7 @@ func (c *Client) Do(ctx context.Context, req *llm.Request) (llm.Response, error)
 			if err != nil {
 				return resp, err
 			}
-			c.record(Garbage, task)
+			c.record(Garbage)
 			resp.Text = garble(resp.Text)
 			resp.OutTokens = llm.CountTokens(resp.Text)
 			return resp, nil

@@ -38,7 +38,7 @@ func prompt(task string, i int) string {
 func run(t *testing.T, plan *Plan, n int) (string, *Client, *echo) {
 	t.Helper()
 	backend := &echo{}
-	c := New(backend, plan, nil)
+	c := New(backend, plan)
 	var sig strings.Builder
 	for i := 0; i < n; i++ {
 		resp, err := c.Complete(context.Background(), prompt("filter_doc", i))
@@ -84,7 +84,7 @@ func TestSeedChangesDraws(t *testing.T) {
 func TestRetriesDrawFresh(t *testing.T) {
 	// At rate 1 every call faults; occurrence indexing still advances so
 	// two sends of the same prompt are distinct decisions.
-	c := New(&echo{}, Uniform(Transient, 1, 7, "filter_doc"), nil)
+	c := New(&echo{}, Uniform(Transient, 1, 7, "filter_doc"))
 	p := prompt("filter_doc", 0)
 	if _, err := c.Complete(context.Background(), p); err == nil {
 		t.Fatal("want injected fault")
@@ -99,7 +99,7 @@ func TestRetriesDrawFresh(t *testing.T) {
 
 func TestTransientFault(t *testing.T) {
 	backend := &echo{}
-	c := New(backend, Uniform(Transient, 1, 3, "filter_doc"), nil)
+	c := New(backend, Uniform(Transient, 1, 3, "filter_doc"))
 	_, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if !errors.Is(err, llm.ErrTransient) {
 		t.Fatalf("err = %v", err)
@@ -117,7 +117,7 @@ func TestTransientFault(t *testing.T) {
 
 func TestTimeoutFault(t *testing.T) {
 	plan := &Plan{Seed: 3, Rules: []Rule{{Kind: Timeout, Rate: 1, Tasks: []string{"filter_doc"}, Latency: 5 * time.Second}}}
-	c := New(&echo{}, plan, nil)
+	c := New(&echo{}, plan)
 	_, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, llm.ErrTransient) {
 		t.Fatalf("err = %v, want deadline-exceeded transient", err)
@@ -129,7 +129,7 @@ func TestTimeoutFault(t *testing.T) {
 
 func TestSlowFault(t *testing.T) {
 	plan := &Plan{Seed: 3, Rules: []Rule{{Kind: Slow, Rate: 1, Tasks: []string{"filter_doc"}, Factor: 4}}}
-	c := New(&echo{}, plan, nil)
+	c := New(&echo{}, plan)
 	resp, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSlowFaultSkipsCachedResponses(t *testing.T) {
 	cachedBackend := clientFunc(func(ctx context.Context, p string) (llm.Response, error) {
 		return llm.Response{Text: "hit", Cached: true}, nil
 	})
-	c := New(cachedBackend, Uniform(Slow, 1, 3, "filter_doc"), nil)
+	c := New(cachedBackend, Uniform(Slow, 1, 3, "filter_doc"))
 	resp, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSlowFaultSkipsCachedResponses(t *testing.T) {
 }
 
 func TestGarbageFault(t *testing.T) {
-	c := New(&echo{}, Uniform(Garbage, 1, 3, "filter_doc"), nil)
+	c := New(&echo{}, Uniform(Garbage, 1, 3, "filter_doc"))
 	resp, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestGarbageFault(t *testing.T) {
 }
 
 func TestTaskScoping(t *testing.T) {
-	c := New(&echo{}, Uniform(Transient, 1, 3, "classify_doc"), nil)
+	c := New(&echo{}, Uniform(Transient, 1, 3, "classify_doc"))
 	if _, err := c.Complete(context.Background(), prompt("filter_doc", 0)); err != nil {
 		t.Errorf("rule for classify_doc hit filter_doc: %v", err)
 	}
@@ -179,30 +179,13 @@ func TestTaskScoping(t *testing.T) {
 
 func TestNilPlanPassesThrough(t *testing.T) {
 	backend := &echo{}
-	c := New(backend, nil, nil)
+	c := New(backend, nil)
 	resp, err := c.Complete(context.Background(), prompt("filter_doc", 0))
 	if err != nil || resp.Text != "yes yes no" {
 		t.Errorf("pass-through broken: %v %q", err, resp.Text)
 	}
 	if c.Injected() != 0 {
 		t.Error("nil plan injected faults")
-	}
-}
-
-func TestOnInjectHook(t *testing.T) {
-	var mu sync.Mutex
-	got := map[Kind]int{}
-	c := New(&echo{}, Uniform(Transient, 1, 3, "filter_doc"), func(kind Kind, task string) {
-		mu.Lock()
-		got[kind]++
-		mu.Unlock()
-		if task != "filter_doc" {
-			t.Errorf("task = %q", task)
-		}
-	})
-	c.Complete(context.Background(), prompt("filter_doc", 0))
-	if got[Transient] != 1 {
-		t.Errorf("hook counts = %v", got)
 	}
 }
 

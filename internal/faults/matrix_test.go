@@ -112,6 +112,12 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 			}
 			texts = append(texts, ans.Text)
 		}
+		// /metrics reads the injector's own counts.
+		for kind, n := range sys.Injector.Stats() {
+			if got := sys.Metrics.Reg.Value("unify_faults_injected_total", string(kind)); got != float64(n) {
+				t.Errorf("unify_faults_injected_total{kind=%q} = %v, injector counted %d", kind, got, n)
+			}
+		}
 		return texts, sys.Injector.Injected()
 	}
 	texts1, inj1 := run()

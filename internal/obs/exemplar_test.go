@@ -94,7 +94,7 @@ func TestInfoMetricExposition(t *testing.T) {
 }
 
 func TestMetricsRecordQueryOKExemplar(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetrics(nil)
 	m.RecordQueryOK("q-7", 42*time.Second, 10*time.Second, 32*time.Second)
 	m.RecordQueryOK("q-8", 3*time.Second, time.Second, 2*time.Second)
 	if id, val := m.Reg.MaxExemplar("unify_query_vtime_seconds"); id != "q-7" || val != 42 {

@@ -38,6 +38,11 @@ func (t MetricType) String() string {
 // concurrent use; instrument handles are cheap to copy and update with a
 // single short critical section. A nil *Registry hands out nil handles
 // whose methods no-op, so metrics can be disabled wholesale.
+//
+// A metric gets its series one of two ways, never both: instruments push
+// into it (Counter, Gauge, Histogram), or a function registered with Func
+// produces them each time the registry is read. Every read — text,
+// snapshot or single value — goes through metric.read.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -51,10 +56,12 @@ type metric struct {
 	label   string            // optional single label name ("" = unlabeled)
 	buckets []float64         // histogram upper bounds (ascending)
 	info    map[string]string // constant info-style gauge labels (Info)
+	// fn produces the series of a read-time metric (Func); nil for a
+	// pushed one.
+	fn func(emit func(labelVal string, v float64))
 
 	mu     sync.Mutex
 	series map[string]*series
-	keys   []string // label values in first-seen order
 }
 
 type series struct {
@@ -77,19 +84,20 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]*metric{}}
 }
 
-func (r *Registry) register(name, help string, typ MetricType, label string, buckets []float64) *metric {
+// register adds m under its name, or returns the metric already
+// registered there (idempotent re-registration: the first one wins).
+func (r *Registry) register(m *metric) *metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m // idempotent re-registration
+	if old, ok := r.metrics[m.name]; ok {
+		return old
 	}
-	m := &metric{name: name, help: help, typ: typ, label: label,
-		buckets: append([]float64(nil), buckets...), series: map[string]*series{}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
+	m.series = map[string]*series{}
+	r.metrics[m.name] = m
+	r.order = append(r.order, m.name)
 	return m
 }
 
@@ -101,9 +109,62 @@ func (m *metric) get(labelVal string) *series {
 			s.counts = make([]uint64, len(m.buckets))
 		}
 		m.series[labelVal] = s
-		m.keys = append(m.keys, labelVal)
 	}
 	return s
+}
+
+// read returns the metric's series as they stand now, keyed by label
+// value: a copy of what was pushed, or what fn emits. fn runs with neither
+// the registry's nor the metric's lock held, so the component it reads may
+// take its own lock: the order is always registry, then owner, and an
+// owner never calls the registry.
+func (m *metric) read() map[string]series {
+	out := map[string]series{}
+	if m.fn != nil {
+		m.fn(func(labelVal string, v float64) { out[labelVal] = series{val: v} })
+	} else {
+		m.mu.Lock()
+		for k, s := range m.series {
+			c := *s
+			c.counts = append([]uint64(nil), s.counts...)
+			c.ex = append([]exemplar(nil), s.ex...)
+			out[k] = c
+		}
+		m.mu.Unlock()
+	}
+	return out
+}
+
+// labelValues returns the label values of what read returned, sorted.
+// Rendering in sorted order matters: first-seen label order depends on
+// goroutine interleaving under concurrent queries, and a map has none.
+func labelValues(vals map[string]series) []string {
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// scalar is the single number a series stands for: a counter's or gauge's
+// value, a histogram's observation count.
+func (s series) scalar(typ MetricType) float64 {
+	if typ == TypeHistogram {
+		return float64(s.count)
+	}
+	return s.val
+}
+
+// Func registers a read-time counter or gauge: read is called every time
+// the registry is rendered or queried and the series it emits (labelVal ""
+// for an unlabeled metric; emitting nothing renders HELP/TYPE only) are
+// the metric's series at that moment. The number keeps its one owner —
+// whatever read consults — and the registry holds no copy of it that
+// could go stale. read must be safe for concurrent use and must not call
+// back into the registry.
+func (r *Registry) Func(name, help string, typ MetricType, label string, read func(emit func(labelVal string, v float64))) {
+	r.register(&metric{name: name, help: help, typ: typ, label: label, fn: read})
 }
 
 // Counter is a monotonically increasing value, optionally labeled.
@@ -111,12 +172,12 @@ type Counter struct{ m *metric }
 
 // Counter registers (or returns) an unlabeled counter.
 func (r *Registry) Counter(name, help string) Counter {
-	return Counter{r.register(name, help, TypeCounter, "", nil)}
+	return Counter{r.register(&metric{name: name, help: help, typ: TypeCounter})}
 }
 
 // CounterVec registers (or returns) a counter keyed by one label.
 func (r *Registry) CounterVec(name, help, label string) Counter {
-	return Counter{r.register(name, help, TypeCounter, label, nil)}
+	return Counter{r.register(&metric{name: name, help: help, typ: TypeCounter, label: label})}
 }
 
 // Inc adds one to the unlabeled series.
@@ -143,12 +204,12 @@ type Gauge struct{ m *metric }
 
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) Gauge {
-	return Gauge{r.register(name, help, TypeGauge, "", nil)}
+	return Gauge{r.register(&metric{name: name, help: help, typ: TypeGauge})}
 }
 
 // GaugeVec registers (or returns) a gauge keyed by one label.
 func (r *Registry) GaugeVec(name, help, label string) Gauge {
-	return Gauge{r.register(name, help, TypeGauge, label, nil)}
+	return Gauge{r.register(&metric{name: name, help: help, typ: TypeGauge, label: label})}
 }
 
 // Set replaces the unlabeled gauge value.
@@ -177,7 +238,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64) Histogram {
 	if len(buckets) == 0 {
 		buckets = DurationBuckets
 	}
-	return Histogram{r.register(name, help, TypeHistogram, "", buckets)}
+	return Histogram{r.register(&metric{name: name, help: help, typ: TypeHistogram,
+		buckets: append([]float64(nil), buckets...)})}
 }
 
 // Observe records one observation.
@@ -228,91 +290,69 @@ func (h Histogram) ObserveDurEx(d time.Duration, exemplarID string) {
 // Re-registration with the same name is a no-op (the first label set
 // wins), keeping it safe to call from every constructor.
 func (r *Registry) Info(name, help string, labels map[string]string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.metrics[name]; ok {
-		return
-	}
 	info := make(map[string]string, len(labels))
 	for k, v := range labels {
 		info[k] = v
 	}
-	m := &metric{name: name, help: help, typ: TypeGauge, info: info, series: map[string]*series{}}
-	r.metrics[name] = m
-	r.order = append(r.order, name)
+	r.register(&metric{name: name, help: help, typ: TypeGauge, info: info})
+}
+
+// lookup returns the named metric, or nil.
+func (r *Registry) lookup(name string) *metric {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.metrics[name]
+}
+
+// all returns every metric in registration order.
+func (r *Registry) all() []*metric {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*metric, len(r.order))
+	for i, n := range r.order {
+		out[i] = r.metrics[n]
+	}
+	return out
 }
 
 // Value returns the current value of a counter/gauge series (labelVal ""
 // for unlabeled), or a histogram's observation count. Missing metrics or
 // series return 0.
 func (r *Registry) Value(name, labelVal string) float64 {
-	if r == nil {
+	m := r.lookup(name)
+	if m == nil {
 		return 0
 	}
-	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.info != nil {
 		return 1
 	}
-	s, ok := m.series[labelVal]
-	if !ok {
-		return 0
-	}
-	if m.typ == TypeHistogram {
-		return float64(s.count)
-	}
-	return s.val
+	return m.read()[labelVal].scalar(m.typ)
 }
 
 // HistogramSum returns the sum of all observations recorded by an
 // unlabeled histogram (0 when absent).
 func (r *Registry) HistogramSum(name string) float64 {
-	if r == nil {
+	m := r.lookup(name)
+	if m == nil || m.typ != TypeHistogram {
 		return 0
 	}
-	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok || m.typ != TypeHistogram {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.series[""]
-	if !ok {
-		return 0
-	}
-	return s.sum
+	return m.read()[""].sum
 }
 
 // MaxExemplar returns the exemplar with the greatest observed value
 // across an unlabeled histogram's buckets ("" when none was recorded).
 func (r *Registry) MaxExemplar(name string) (id string, val float64) {
-	if r == nil {
+	m := r.lookup(name)
+	if m == nil || m.typ != TypeHistogram {
 		return "", 0
 	}
-	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok || m.typ != TypeHistogram {
-		return "", 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.series[""]
-	if !ok {
-		return "", 0
-	}
-	for _, e := range s.ex {
+	for _, e := range m.read()[""].ex {
 		if e.id != "" && (id == "" || e.val > val) {
 			id, val = e.id, e.val
 		}
@@ -322,24 +362,13 @@ func (r *Registry) MaxExemplar(name string) (id string, val float64) {
 
 // Total sums every series of a metric (counters/gauges).
 func (r *Registry) Total(name string) float64 {
-	if r == nil {
+	m := r.lookup(name)
+	if m == nil {
 		return 0
 	}
-	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var t float64
-	for _, s := range m.series {
-		if m.typ == TypeHistogram {
-			t += float64(s.count)
-		} else {
-			t += s.val
-		}
+	for _, s := range m.read() {
+		t += s.scalar(m.typ)
 	}
 	return t
 }
@@ -359,24 +388,10 @@ func escapeLabel(v string) string {
 
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4), in registration order with label values sorted.
-// Sorting matters: first-seen label order depends on goroutine
-// interleaving under concurrent queries, so rendering m.keys directly
-// made /metrics output nondeterministic byte-for-byte across identical
-// runs.
+// Each metric is read before any of it is written, so a slow writer never
+// holds a lock an instrument needs.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	metrics := make([]*metric, len(names))
-	for i, n := range names {
-		metrics[i] = r.metrics[n]
-	}
-	r.mu.Unlock()
-
-	for _, m := range metrics {
-		m.mu.Lock()
+	for _, m := range r.all() {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
 		if m.info != nil {
@@ -392,13 +407,11 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				parts[i] = fmt.Sprintf("%s=%q", k, escapeLabel(m.info[k]))
 			}
 			fmt.Fprintf(w, "%s{%s} 1\n", m.name, strings.Join(parts, ","))
-			m.mu.Unlock()
 			continue
 		}
-		keys := append([]string(nil), m.keys...)
-		sort.Strings(keys)
-		for _, key := range keys {
-			s := m.series[key]
+		vals := m.read()
+		for _, key := range labelValues(vals) {
+			s := vals[key]
 			label := ""
 			if m.label != "" {
 				label = fmt.Sprintf("{%s=%q}", m.label, escapeLabel(key))
@@ -417,91 +430,65 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s%s %s\n", m.name, label, formatFloat(s.val))
 			}
 		}
-		m.mu.Unlock()
 	}
 }
 
 // Snapshot returns a JSON-friendly view of the registry: metric name →
 // value (unlabeled) or label-value map (labeled); histograms expose
-// count, sum, and per-bucket counts.
+// count, sum, and per-bucket counts. It is a read path: a metric with no
+// series reports zeros and gains no series by being looked at.
 func (r *Registry) Snapshot() map[string]interface{} {
 	out := map[string]interface{}{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	metrics := make([]*metric, len(names))
-	for i, n := range names {
-		metrics[i] = r.metrics[n]
-	}
-	r.mu.Unlock()
-
-	for i, m := range metrics {
-		m.mu.Lock()
-		// Snapshot is a read path: it must not call m.get, which creates
-		// the series it looks up. The old behavior meant a /v1/stats read
-		// inserted empty "" series, changing subsequent /metrics output.
-		switch {
-		case m.info != nil:
+	for _, m := range r.all() {
+		if m.info != nil {
 			labels := make(map[string]string, len(m.info))
 			for k, v := range m.info {
 				labels[k] = v
 			}
-			out[names[i]] = labels
+			out[m.name] = labels
+			continue
+		}
+		vals := m.read()
+		switch {
 		case m.typ == TypeHistogram:
-			var count uint64
-			var sum float64
+			s := vals[""] // the zero series when nothing was observed
 			buckets := map[string]uint64{}
 			cum := uint64(0)
-			var exs map[string]interface{}
-			if s, ok := m.series[""]; ok {
-				count, sum = s.count, s.sum
-				for j, ub := range m.buckets {
+			for j, ub := range m.buckets {
+				if j < len(s.counts) {
 					cum += s.counts[j]
-					buckets["le_"+formatFloat(ub)] = cum
 				}
-				for j, e := range s.ex {
-					if e.id == "" {
-						continue
-					}
-					le := "+Inf"
-					if j < len(m.buckets) {
-						le = formatFloat(m.buckets[j])
-					}
-					if exs == nil {
-						exs = map[string]interface{}{}
-					}
-					exs["le_"+le] = map[string]interface{}{
-						"request_id": e.id, "value": e.val,
-					}
-				}
-			} else {
-				for _, ub := range m.buckets {
-					buckets["le_"+formatFloat(ub)] = 0
-				}
+				buckets["le_"+formatFloat(ub)] = cum
 			}
 			hv := map[string]interface{}{
-				"count": count, "sum": sum, "buckets": buckets,
+				"count": s.count, "sum": s.sum, "buckets": buckets,
 			}
-			if exs != nil {
+			exs := map[string]interface{}{}
+			for j, e := range s.ex {
+				if e.id == "" {
+					continue
+				}
+				le := "+Inf"
+				if j < len(m.buckets) {
+					le = formatFloat(m.buckets[j])
+				}
+				exs["le_"+le] = map[string]interface{}{
+					"request_id": e.id, "value": e.val,
+				}
+			}
+			if len(exs) > 0 {
 				hv["exemplars"] = exs
 			}
-			out[names[i]] = hv
+			out[m.name] = hv
 		case m.label != "":
-			vals := map[string]float64{}
-			for _, k := range m.keys {
-				vals[k] = m.series[k].val
+			labeled := make(map[string]float64, len(vals))
+			for k, s := range vals {
+				labeled[k] = s.val
 			}
-			out[names[i]] = vals
+			out[m.name] = labeled
 		default:
-			var v float64
-			if s, ok := m.series[""]; ok {
-				v = s.val
-			}
-			out[names[i]] = v
+			out[m.name] = vals[""].val
 		}
-		m.mu.Unlock()
 	}
 	return out
 }
@@ -518,18 +505,9 @@ func (r *Registry) Names() []string {
 
 // LabelValues returns a metric's label values, sorted.
 func (r *Registry) LabelValues(name string) []string {
-	if r == nil {
+	m := r.lookup(name)
+	if m == nil {
 		return nil
 	}
-	r.mu.Lock()
-	m, ok := r.metrics[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]string(nil), m.keys...)
-	sort.Strings(out)
-	return out
+	return labelValues(m.read())
 }

@@ -25,7 +25,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if len(r.Snapshot()) != 0 || r.Names() != nil {
 		t.Error("nil registry snapshot non-empty")
 	}
-	var m *Metrics
+	// A bundle over no registry holds nil handles: recording is a no-op.
+	m := &Metrics{}
 	m.RecordQueryOK("q-1", time.Second, time.Second, time.Second)
 	m.RecordQueryFailed()
 	m.RecordCall("t", 1, 2)
@@ -118,7 +119,7 @@ func TestRegistryValueAndSnapshot(t *testing.T) {
 }
 
 func TestMetricsBundleConcurrent(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetrics(nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -140,5 +141,138 @@ func TestMetricsBundleConcurrent(t *testing.T) {
 	}
 	if got := m.Reg.Value("unify_slot_utilization", ""); got != 0.75 {
 		t.Errorf("utilization = %v", got)
+	}
+}
+
+// TestFuncMetricReadsItsOwner covers the read-time mechanism: a metric
+// registered with Func has no series of its own — every read path asks the
+// function, so the value tracks its owner and all paths agree.
+func TestFuncMetricReadsItsOwner(t *testing.T) {
+	r := NewRegistry()
+	owner := map[string]float64{"zeta": 3, "alpha": 1, "mid": 2}
+	var mu sync.Mutex
+	r.Func("owned_total", "Owned elsewhere.", TypeCounter, "layer", func(emit func(string, float64)) {
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range owner {
+			emit(k, v)
+		}
+	})
+	r.Func("owned_size", "Owned elsewhere.", TypeGauge, "", func(emit func(string, float64)) {
+		mu.Lock()
+		defer mu.Unlock()
+		emit("", float64(len(owner)))
+	})
+	r.Func("owned_idle_total", "Counted nothing yet.", TypeCounter, "kind", func(func(string, float64)) {})
+	r.Counter("pushed_total", "Pushed.").Add(7)
+
+	render := func() string {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return b.String()
+	}
+	want := `# HELP owned_total Owned elsewhere.
+# TYPE owned_total counter
+owned_total{layer="alpha"} 1
+owned_total{layer="mid"} 2
+owned_total{layer="zeta"} 3
+# HELP owned_size Owned elsewhere.
+# TYPE owned_size gauge
+owned_size 3
+# HELP owned_idle_total Counted nothing yet.
+# TYPE owned_idle_total counter
+# HELP pushed_total Pushed.
+# TYPE pushed_total counter
+pushed_total 7
+`
+	if got := render(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Value, Total and LabelValues go through the same read.
+	if got := r.Value("owned_total", "mid"); got != 2 {
+		t.Errorf("Value(mid) = %v, want 2", got)
+	}
+	if got := r.Value("owned_total", "absent"); got != 0 {
+		t.Errorf("Value(absent) = %v, want 0", got)
+	}
+	if got := r.Total("owned_total"); got != 6 {
+		t.Errorf("Total = %v, want 6", got)
+	}
+	if got := r.Value("owned_size", ""); got != 3 {
+		t.Errorf("Value(owned_size) = %v, want 3", got)
+	}
+	if got := strings.Join(r.LabelValues("owned_total"), ","); got != "alpha,mid,zeta" {
+		t.Errorf("LabelValues = %s", got)
+	}
+	if got := r.LabelValues("owned_idle_total"); len(got) != 0 {
+		t.Errorf("LabelValues of a silent function = %v", got)
+	}
+
+	// Snapshot is a read: same numbers, and it leaves no series behind.
+	snap := r.Snapshot()
+	if vals, ok := snap["owned_total"].(map[string]float64); !ok || len(vals) != 3 || vals["zeta"] != 3 {
+		t.Errorf("snapshot owned_total = %#v", snap["owned_total"])
+	}
+	if v, ok := snap["owned_size"].(float64); !ok || v != 3 {
+		t.Errorf("snapshot owned_size = %#v", snap["owned_size"])
+	}
+	if vals, ok := snap["owned_idle_total"].(map[string]float64); !ok || len(vals) != 0 {
+		t.Errorf("snapshot owned_idle_total = %#v", snap["owned_idle_total"])
+	}
+	if got := render(); got != want {
+		t.Errorf("exposition changed after Snapshot/Value/Total:\n%s", got)
+	}
+
+	// The registry kept no copy: the next read sees the owner's new state.
+	mu.Lock()
+	delete(owner, "mid")
+	owner["alpha"] = 10
+	mu.Unlock()
+	if got := r.Total("owned_total"); got != 13 {
+		t.Errorf("Total after the owner moved = %v, want 13", got)
+	}
+	if !strings.Contains(render(), "owned_total{layer=\"alpha\"} 10\nowned_total{layer=\"zeta\"} 3\n# HELP owned_size") {
+		t.Errorf("exposition after the owner moved:\n%s", render())
+	}
+
+	// First registration wins, as for pushed metrics; nil registries no-op.
+	r.Func("owned_size", "again", TypeGauge, "", func(emit func(string, float64)) { emit("", -1) })
+	if got := r.Value("owned_size", ""); got != 2 {
+		t.Errorf("re-registered Func replaced the first: %v", got)
+	}
+	var none *Registry
+	none.Func("x", "help", TypeGauge, "", func(emit func(string, float64)) { emit("", 1) })
+}
+
+// TestFuncMetricReadRunsUnlocked: the read function runs with no registry
+// lock held, so an owner may hold its own lock across a registry update on
+// another goroutine (owner lock, then nothing; registry, then owner).
+func TestFuncMetricReadRunsUnlocked(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("pushed_total", "Pushed.")
+	entered, release := make(chan struct{}), make(chan struct{})
+	r.Func("slow_owner", "Blocks inside its owner.", TypeGauge, "", func(emit func(string, float64)) {
+		close(entered)
+		<-release
+		emit("", 1)
+	})
+	done := make(chan string)
+	go func() {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		done <- b.String()
+	}()
+	<-entered
+	// While the scrape sits in the owner, pushes, registrations and other
+	// reads all proceed.
+	c.Inc()
+	r.Gauge("late", "Registered mid-scrape.").Set(2)
+	if got := r.Value("pushed_total", ""); got != 1 {
+		t.Errorf("Value during a blocked scrape = %v", got)
+	}
+	close(release)
+	if out := <-done; !strings.Contains(out, "slow_owner 1\n") {
+		t.Errorf("blocked scrape rendered:\n%s", out)
 	}
 }

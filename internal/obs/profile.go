@@ -231,6 +231,49 @@ func (pr *Profiler) Totals() OpCost {
 	return t
 }
 
+// opFamilies are the cumulative profile's Prometheus faces: one counter
+// family per OpCost field, labeled by operator class ("Op/Phys" or a phase
+// name) — the /v1/profile data as series.
+var opFamilies = []struct {
+	name, help string
+	val        func(OpCost) float64
+}{
+	{"unify_op_executions_total", "Operator-class executions attributed by query profiles.",
+		func(c OpCost) float64 { return float64(c.Executions) }},
+	{"unify_op_llm_calls_total", "Model invocations attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.LLMCalls) }},
+	{"unify_op_cached_calls_total", "Cache-served model invocations attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.CachedCalls) }},
+	{"unify_op_in_tokens_total", "Prompt tokens attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.InTokens) }},
+	{"unify_op_out_tokens_total", "Generated tokens attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.OutTokens) }},
+	{"unify_op_skipped_docs_total", "Error-budget document skips attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.SkippedDocs) }},
+	{"unify_op_retries_total", "Transient-failure retries attributed to operator classes.",
+		func(c OpCost) float64 { return float64(c.Retries) }},
+	{"unify_op_busy_vtime_seconds_total", "Modeled busy vtime attributed to operator classes.",
+		func(c OpCost) float64 { return c.Busy.Seconds() }},
+	{"unify_op_vtime_share_seconds_total", "Share of end-to-end query vtime attributed to operator classes.",
+		func(c OpCost) float64 { return c.Share.Seconds() }},
+	{"unify_op_grant_wait_vtime_seconds_total", "Slot-grant wait vtime attributed to operator classes.",
+		func(c OpCost) float64 { return c.GrantWait.Seconds() }},
+}
+
+// Register exposes the cumulative profile on r as the unify_op_* counter
+// families, each read from the profiler when r is read.
+func (pr *Profiler) Register(r *Registry) {
+	for _, f := range opFamilies {
+		r.Func(f.name, f.help, TypeCounter, "op", func(emit func(string, float64)) {
+			pr.mu.Lock()
+			defer pr.mu.Unlock()
+			for class, c := range pr.classes {
+				emit(class, f.val(*c))
+			}
+		})
+	}
+}
+
 // OpCostJSON is the wire form of one class's cumulative cost counters.
 // Durations are virtual-clock seconds; no wall-clock values appear, so
 // the snapshot is byte-deterministic for identical workloads.

@@ -100,15 +100,13 @@ func (s *Server) SetLimits(maxConcurrent, maxQueue int) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.Sys.Metrics != nil {
-		// Trace-detail requests collapse to one series: the id segment
-		// would otherwise mint a label per request.
-		path := r.URL.Path
-		if strings.HasPrefix(path, "/v1/traces/") {
-			path = "/v1/traces/{id}"
-		}
-		s.Sys.Metrics.HTTPRequests.IncL(path)
+	// Trace-detail requests collapse to one series: the id segment
+	// would otherwise mint a label per request.
+	path := r.URL.Path
+	if strings.HasPrefix(path, "/v1/traces/") {
+		path = "/v1/traces/{id}"
 	}
+	s.Sys.Metrics.HTTPRequests.IncL(path)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -665,18 +663,25 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Sys.Profiler.Snapshot())
 }
 
+// corpusDocs reads the corpus size the way a query would: under the
+// read side of corpusMu, so a health or stats request never races an
+// ingest that is growing the store.
+func (s *Server) corpusDocs() int {
+	s.corpusMu.RLock()
+	defer s.corpusMu.RUnlock()
+	return s.Sys.Store.Len()
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	var served, failed float64
-	if m := s.Sys.Metrics; m != nil {
-		served = m.Reg.Value("unify_queries_total", "ok")
-		failed = m.Reg.Value("unify_queries_total", "error")
-	}
+	reg := s.Sys.Metrics.Reg
+	served := reg.Value("unify_queries_total", "ok")
+	failed := reg.Value("unify_queries_total", "error")
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status":         "ok",
 		"version":        unify.Version,
 		"api_version":    1,
 		"dataset":        s.Sys.Dataset.Name,
-		"documents":      s.Sys.Store.Len(),
+		"documents":      s.corpusDocs(),
 		"uptime_secs":    time.Since(s.started).Seconds(),
 		"queries_served": int64(served),
 		"queries_failed": int64(failed),
@@ -690,29 +695,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, s.nextRequestID(), "GET required")
 		return
 	}
-	var snap map[string]interface{}
-	if m := s.Sys.Metrics; m != nil {
-		snap = m.Reg.Snapshot()
-	}
-	// Per-layer cache counters, read directly from the shared cache (the
-	// registry mirrors events; this is the authoritative snapshot with
-	// resident entry/byte figures included).
+	reg := s.Sys.Metrics.Reg
+	snap := reg.Snapshot()
+	// Per-layer cache counters, read from the shared cache as the
+	// registry's unify_cache_* metrics are, with each layer's resident
+	// entry/byte figures included.
 	cacheStats := map[string]interface{}{}
 	for layer, st := range s.Sys.CacheStats() {
 		cacheStats[layer] = st
 	}
 	// Failure-handling counters: resilience events, injected faults, and
 	// graceful-degradation totals, summarized for operators.
-	failures := map[string]interface{}{}
-	if m := s.Sys.Metrics; m != nil {
-		reg := m.Reg
-		failures["retries"] = int64(reg.Total("unify_llm_retries_total"))
-		failures["retry_exhausted"] = int64(reg.Total("unify_llm_retry_exhausted_total"))
-		failures["hedges"] = int64(reg.Total("unify_llm_hedges_total"))
-		failures["replans"] = int64(reg.Total("unify_exec_replans_total"))
-		failures["skipped_docs"] = int64(reg.Total("unify_exec_skipped_docs_total"))
-		failures["plan_fallbacks"] = int64(reg.Total("unify_plan_fallback_total"))
-		failures["query_errors"] = int64(reg.Value("unify_queries_total", "error"))
+	failures := map[string]interface{}{
+		"retries":         int64(reg.Total("unify_llm_retries_total")),
+		"retry_exhausted": int64(reg.Total("unify_llm_retry_exhausted_total")),
+		"hedges":          int64(reg.Total("unify_llm_hedges_total")),
+		"replans":         int64(reg.Total("unify_exec_replans_total")),
+		"skipped_docs":    int64(reg.Total("unify_exec_skipped_docs_total")),
+		"plan_fallbacks":  int64(reg.Total("unify_plan_fallback_total")),
+		"query_errors":    int64(reg.Value("unify_queries_total", "error")),
 	}
 	if inj := s.Sys.Injector; inj != nil {
 		byKind := map[string]int64{}
@@ -754,7 +755,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		viewsBlock["hit_rate"] = st.HitRate()
 		viewsBlock["columns"] = v.Columns()
 		viewsBlock["corpus_generation"] = s.Sys.Store.Generation()
-		viewsBlock["corpus_docs"] = s.Sys.Store.Len()
+		viewsBlock["corpus_docs"] = s.corpusDocs()
 	}
 	// Clock domains: serving figures (admission queue waits, uptime) are
 	// monotonic wall time; everything derived from query execution (pool
@@ -814,9 +815,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if m := s.Sys.Metrics; m != nil {
-		m.Reg.WritePrometheus(w)
-	}
+	s.Sys.Metrics.Reg.WritePrometheus(w)
 }
 
 func (s *Server) timeout() time.Duration {

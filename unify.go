@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -243,8 +244,9 @@ type System struct {
 	Calib     *cost.Calibrator
 
 	// Metrics is the system's process-wide metrics bundle (served by the
-	// HTTP server at /metrics and /v1/stats). Always installed by New; a
-	// nil bundle is a valid no-op sink.
+	// HTTP server at /metrics and /v1/stats), always installed by New:
+	// the instruments queries push into, and a registry that reads every
+	// other number from the component that owns it.
 	Metrics *obs.Metrics
 
 	// Cache is the shared semantic cache backing every caching layer
@@ -390,21 +392,30 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	if err != nil {
 		return nil, err
 	}
-	metrics := obs.NewMetrics()
-	metrics.SetBuildInfo(Version)
+	// The components that own exported numbers come first, so the
+	// registry can be told where to read them (registerOwned). The
+	// profiler is always on (pure counters); the trace store and the
+	// slow-query log honor the retention config.
+	s := &System{
+		Config:   cfg,
+		Dataset:  ds,
+		Store:    store,
+		Pool:     sched.NewCluster(cfg.Machines, cfg.Slots).Pool,
+		Profiler: obs.NewProfiler(),
+		SlowLog:  obs.NewSlowLog(cfg.SlowQueryVTime, nil),
+	}
+	if cfg.MaxTraces >= 0 {
+		s.Traces = obs.NewTraceStore(cfg.MaxTraces, cfg.MaxTraceSpans)
+	}
 	// The shared semantic cache: one byte budget across LLM responses,
-	// selectivities, and plans, with per-layer counters mirrored into the
-	// metrics registry.
-	var shared *cache.LRU
+	// selectivities, and plans.
 	if cfg.CacheBytes >= 0 {
 		budget := cfg.CacheBytes
 		if budget == 0 {
 			budget = DefaultCacheBytes
 		}
-		shared = cache.New(budget, cache.WithEvents(func(layer string, ev cache.Event, n int) {
-			metrics.RecordCacheEvent(layer, ev.String(), n)
-		}))
-		llmLayer := cache.NewLayer[llm.Response](shared, "llm", llm.ResponseCost)
+		s.Cache = cache.New(budget)
+		llmLayer := cache.NewLayer[llm.Response](s.Cache, "llm", llm.ResponseCost)
 		planner = llm.NewCached(planner, llmLayer)
 		worker = llm.NewCached(worker, llmLayer)
 	}
@@ -412,13 +423,13 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	// poisons cached entries) and below the retry layer, so every logical
 	// call — hit or miss — is exposed to serving-path faults and the
 	// Resilient wrapper sees them first.
-	var injector *faults.Client
 	if cfg.FaultPlan != nil {
-		injector = faults.New(worker, cfg.FaultPlan, func(kind faults.Kind, task string) {
-			metrics.RecordFault(string(kind))
-		})
-		worker = injector
+		s.Injector = faults.New(worker, cfg.FaultPlan)
+		worker = s.Injector
 	}
+	metrics := obs.NewMetrics(s.registerOwned)
+	metrics.SetBuildInfo(Version)
+	s.Metrics = metrics
 	if cfg.FaultPlan != nil || cfg.MaxRetries > 0 || cfg.HedgeAfter > 0 {
 		pol := llm.DefaultRetryPolicy()
 		if cfg.MaxRetries > 0 {
@@ -439,38 +450,65 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	opt := optimizer.New(store, est, calib, cfg.Slots)
 	opt.Mode = cfg.Mode
 	opt.Machines = cfg.Machines
-	opt.AttachCache(shared)
-	s := &System{
-		Config:        cfg,
-		Dataset:       ds,
-		Store:         store,
-		PlannerClient: planner,
-		WorkerClient:  worker,
-		Planner:       core.NewPlanner(planner, store.Embedder(), cfg.K, cfg.NC, cfg.Tau),
-		Optimizer:     opt,
-		Executor:      exec.New(store, worker, calib),
-		Estimator:     est,
-		Calib:         calib,
-		Metrics:       metrics,
-		Cache:         shared,
-		Injector:      injector,
-		Pool:          sched.NewCluster(cfg.Machines, cfg.Slots).Pool,
-	}
+	opt.AttachCache(s.Cache)
+	s.PlannerClient = planner
+	s.WorkerClient = worker
+	s.Planner = core.NewPlanner(planner, store.Embedder(), cfg.K, cfg.NC, cfg.Tau)
+	s.Optimizer = opt
+	s.Executor = exec.New(store, worker, calib)
+	s.Estimator = est
+	s.Calib = calib
 	s.Executor.Slots = cfg.Slots
 	s.Executor.BatchSize = cfg.BatchSize
 	s.Executor.Pool = s.Pool
+	// The metrics below follow the build info in the exposition, each
+	// registered only on the configurations that have its owner.
+	reg := metrics.Reg
 	if cfg.Machines > 1 {
 		s.Sharding = store.Shard(nil, cfg.Machines)
 		s.Executor.Sharding = s.Sharding
-		metrics.EnablePerMachine(cfg.Machines)
+		perMachine := func(name, help string, v func(sched.MachineStat) float64) {
+			reg.Func(name, help, obs.TypeGauge, "machine", func(emit func(string, float64)) {
+				for _, pm := range s.Pool.Stats().PerMachine {
+					emit(strconv.Itoa(pm.Machine), v(pm))
+				}
+			})
+		}
+		perMachine("unify_pool_machine_active_queries",
+			"Queries currently homed on the machine, by machine index.",
+			func(pm sched.MachineStat) float64 { return float64(pm.Active) })
+		perMachine("unify_pool_machine_utilization",
+			"Epoch slot utilization of the machine, by machine index.",
+			func(pm sched.MachineStat) float64 { return pm.Utilization })
 	}
 	if cfg.Views {
 		s.Views = views.NewStore()
 		s.Views.SetAudit(cfg.StrictChecks)
 		s.Executor.Views = s.Views
 		opt.Views = s.Views
-		metrics.EnableViews()
+		viewStat := func(name, help string, v func(views.Stats) float64) {
+			readScalar(reg, name, help, obs.TypeGauge, func() float64 { return v(s.Views.Stats()) })
+		}
+		viewStat("unify_view_rows", "Materialized semantic view rows resident across all columns.",
+			func(st views.Stats) float64 { return float64(st.Rows) })
+		viewStat("unify_view_columns", "Distinct materialized view columns.",
+			func(st views.Stats) float64 { return float64(st.Columns) })
+		viewStat("unify_view_hits_total", "Per-document judgments served from materialized views, lifetime.",
+			func(st views.Stats) float64 { return float64(st.Hits) })
+		viewStat("unify_view_misses_total", "Per-document view lookups that fell through to model work, lifetime.",
+			func(st views.Stats) float64 { return float64(st.Misses) })
+		viewStat("unify_view_backfills_total", "View rows written back after fresh model work, lifetime.",
+			func(st views.Stats) float64 { return float64(st.Backfills) })
+		viewStat("unify_view_invalidated_total", "View rows dropped because their document was updated, lifetime.",
+			func(st views.Stats) float64 { return float64(st.Invalidated) })
 	}
+	// Ingestion is every system's: Ingest pushes the documents it applied
+	// (nothing else holds that count); the generation is the store's.
+	metrics.IngestDocs = reg.CounterVec("unify_ingest_docs_total",
+		"Documents ingested into the live corpus, by mutation kind.", "kind")
+	readScalar(reg, "unify_corpus_generation",
+		"Corpus generation: mutations applied since the system opened.", obs.TypeGauge,
+		func() float64 { return float64(store.Generation()) })
 	s.Executor.NodeErrorBudget = cfg.NodeErrorBudget
 	s.Executor.StrictChecks = cfg.StrictChecks
 	s.Pool.StrictChecks = cfg.StrictChecks
@@ -486,16 +524,15 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 		}
 		s.Pool.Batching = pol
 		s.Executor.Batching = pol
-		metrics.EnableBatching()
+		s.poolGauge(reg, "unify_batch_grants", "Slot grants of batchable units (batched invocations), lifetime.",
+			func(ps sched.Stats) float64 { return float64(ps.BatchGrants) })
+		s.poolGauge(reg, "unify_batched_calls", "Operator LLM calls carried by batchable slot grants, lifetime.",
+			func(ps sched.Stats) float64 { return float64(ps.BatchedUnits) })
+		s.poolGauge(reg, "unify_batch_occupancy", "Mean calls per batchable invocation (batched_calls / batch_grants).",
+			func(ps sched.Stats) float64 { return ps.BatchOccupancy })
+		s.poolGauge(reg, "unify_batch_saved_vtime_seconds", "Slot busy vtime avoided by batching versus solo execution, lifetime.",
+			func(ps sched.Stats) float64 { return ps.BatchSavedVTime.Seconds() })
 	}
-	// Observability retention: trace store, cumulative profiler, and the
-	// slow-query log. The profiler is always on (pure counters); the
-	// trace store honors the retention config.
-	s.Profiler = obs.NewProfiler()
-	if cfg.MaxTraces >= 0 {
-		s.Traces = obs.NewTraceStore(cfg.MaxTraces, cfg.MaxTraceSpans)
-	}
-	s.SlowLog = obs.NewSlowLog(cfg.SlowQueryVTime, nil)
 	if cfg.ReplanThreshold > 1 {
 		s.Executor.ReplanThreshold = cfg.ReplanThreshold
 		s.Executor.Replanner = opt
@@ -503,19 +540,109 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	if cfg.TrainSCE {
 		// Training is the paper's offline phase: the failure harness
 		// targets query serving, so injection pauses while it runs.
-		if injector != nil {
-			injector.SetEnabled(false)
+		if s.Injector != nil {
+			s.Injector.SetEnabled(false)
 		}
 		start := time.Now()
 		if err := s.TrainSCE(context.Background()); err != nil {
 			return nil, err
 		}
 		s.PreprocessDur += time.Since(start)
-		if injector != nil {
-			injector.SetEnabled(true)
+		if s.Injector != nil {
+			s.Injector.SetEnabled(true)
 		}
 	}
 	return s, nil
+}
+
+// readScalar registers an unlabeled read-time metric whose one series is
+// v(), called when the registry is read.
+func readScalar(r *obs.Registry, name, help string, typ obs.MetricType, v func() float64) {
+	r.Func(name, help, typ, "", func(emit func(string, float64)) { emit("", v()) })
+}
+
+// poolGauge registers a gauge read from the slot pool's snapshot.
+func (s *System) poolGauge(r *obs.Registry, name, help string, v func(sched.Stats) float64) {
+	readScalar(r, name, help, obs.TypeGauge, func() float64 { return v(s.Pool.Stats()) })
+}
+
+// registerOwned is NewMetrics's callback: for each run of the exposition
+// order that belongs to a component of the system, it registers the
+// metrics that component owns, each as a function that reads the owner
+// when the registry is read. Nothing on the query path copies these
+// numbers, so a scrape of an idle system and a caller that drives the
+// phases itself both see them as they are.
+func (s *System) registerOwned(r *obs.Registry, owner string) {
+	switch owner {
+	case "cache":
+		// A layer's counter renders once it has counted something, as a
+		// pushed counter would.
+		layers := func(name, help string, v func(cache.Stats) uint64) {
+			r.Func(name, help, obs.TypeCounter, "layer", func(emit func(string, float64)) {
+				for layer, st := range s.Cache.LayerStats() {
+					if n := v(st); n > 0 {
+						emit(layer, float64(n))
+					}
+				}
+			})
+		}
+		layers("unify_cache_hits_total", "Shared-cache hits, by layer.",
+			func(st cache.Stats) uint64 { return st.Hits })
+		layers("unify_cache_misses_total", "Shared-cache misses, by layer.",
+			func(st cache.Stats) uint64 { return st.Misses })
+		layers("unify_cache_evictions_total", "Shared-cache evictions (budget or staleness), by layer.",
+			func(st cache.Stats) uint64 { return st.Evictions })
+		layers("unify_cache_coalesced_total", "Lookups that joined an identical in-flight computation, by layer.",
+			func(st cache.Stats) uint64 { return st.Coalesced })
+		readScalar(r, "unify_cache_bytes", "Resident byte cost of the shared cache.", obs.TypeGauge,
+			func() float64 { return float64(s.Cache.Bytes()) })
+		readScalar(r, "unify_cache_entries", "Resident entry count of the shared cache.", obs.TypeGauge,
+			func() float64 { return float64(s.Cache.Len()) })
+		r.Func("unify_sim_calls", "Prompts that reached the simulated model backend, by model.",
+			obs.TypeGauge, "model", func(emit func(string, float64)) {
+				for _, cli := range []llm.Client{s.PlannerClient, s.WorkerClient} {
+					if sim := llm.SimOf(cli); sim != nil {
+						calls, _ := sim.Stats()
+						emit(sim.Profile().Name, float64(calls))
+					}
+				}
+			})
+	case "faults":
+		r.Func("unify_faults_injected_total", "Faults injected into model calls, by kind.",
+			obs.TypeCounter, "kind", func(emit func(string, float64)) {
+				if s.Injector == nil {
+					return
+				}
+				for kind, n := range s.Injector.Stats() {
+					emit(string(kind), float64(n))
+				}
+			})
+	case "pool":
+		s.poolGauge(r, "unify_pool_active_queries", "Queries currently admitted to the shared slot pool.",
+			func(ps sched.Stats) float64 { return float64(ps.Active) })
+		s.poolGauge(r, "unify_pool_utilization", "Aggregate slot utilization of the pool's current scheduling epoch.",
+			func(ps sched.Stats) float64 { return ps.Utilization })
+	case "history":
+		s.Profiler.Register(r)
+		// No series without a trace store, as when nothing stored one.
+		traces := func(name, help string, v func(*obs.TraceStore) float64) {
+			r.Func(name, help, obs.TypeGauge, "", func(emit func(string, float64)) {
+				if s.Traces != nil {
+					emit("", v(s.Traces))
+				}
+			})
+		}
+		traces("unify_traces_stored", "Query traces currently retained in the history store.",
+			func(ts *obs.TraceStore) float64 { return float64(ts.Len()) })
+		traces("unify_traces_evicted_total", "Query traces evicted from the history store since start.",
+			func(ts *obs.TraceStore) float64 { return float64(ts.Evicted()) })
+		r.Func("unify_slow_queries_total", "Queries whose vtime crossed the slow-query log threshold.",
+			obs.TypeCounter, "", func(emit func(string, float64)) {
+				if n := s.SlowLog.Count(); n > 0 {
+					emit("", float64(n))
+				}
+			})
+	}
 }
 
 // IngestResult summarizes one live corpus mutation.
@@ -583,11 +710,7 @@ func (s *System) Ingest(add []docstore.Document, update []docstore.Document) (*I
 	res.Generation = s.Store.Generation()
 	res.Docs = s.Store.Len()
 	s.PreprocessDur += time.Since(start)
-	s.Metrics.RecordIngest(res.Added, res.Updated, res.Generation)
-	if s.Views != nil {
-		vs := s.Views.Stats()
-		s.Metrics.RecordViews(vs.Columns, vs.Rows, vs.Hits, vs.Misses, vs.Backfills, vs.Invalidated)
-	}
+	s.Metrics.RecordIngest(res.Added, res.Updated)
 	return res, nil
 }
 
@@ -1049,18 +1172,17 @@ func (s *System) account(r *run, ans *Answer, err error) (*Answer, error) {
 }
 
 // retainTrace stores a completed query's span tree in the trace store
-// (no-op when retention is disabled) and refreshes the store gauges.
+// (no-op when retention is disabled).
 func (s *System) retainTrace(r *run, status string, vtime time.Duration, llmCalls, operators int) {
 	if s.Traces == nil || r.span == nil {
 		return
 	}
 	s.Traces.Put(r.rid, r.ticket.Seq(), status, r.q, vtime, llmCalls, operators, r.span)
-	s.Metrics.RecordTraceStore(s.Traces.Len(), s.Traces.Evicted())
 }
 
 // observeSlow feeds a completed query to the slow-query log.
 func (s *System) observeSlow(q string, ans *Answer) {
-	slow := s.SlowLog.Observe(obs.SlowRecord{
+	s.SlowLog.Observe(obs.SlowRecord{
 		RequestID:   ans.RequestID,
 		Query:       q,
 		Status:      "ok",
@@ -1071,9 +1193,6 @@ func (s *System) observeSlow(q string, ans *Answer) {
 		Operators:   len(ans.Nodes),
 		Contended:   ans.Contended,
 	})
-	if slow {
-		s.Metrics.RecordSlowQuery()
-	}
 }
 
 // checkProfileBound validates the profile.global_bound invariant:
@@ -1082,9 +1201,6 @@ func (s *System) observeSlow(q string, ans *Answer) {
 // are recorded after the globals, so under concurrent queries the
 // profile may lag the registry but never lead it.
 func (s *System) checkProfileBound(q string, qspan *obs.Span) error {
-	if s.Profiler == nil || s.Metrics == nil || s.Metrics.Reg == nil {
-		return nil
-	}
 	tot := s.Profiler.Totals()
 	queries := s.Profiler.Queries()
 	vtotal := s.Profiler.TotalVTime()
@@ -1122,14 +1238,12 @@ func callCost(calls []llm.Call, busy time.Duration) obs.OpCost {
 	return c
 }
 
-// recordQueryMetrics charges a completed query to the metrics registry.
+// recordQueryMetrics charges a completed query to the instruments only a
+// query can feed; what the pool, the cache, the views, the models and the
+// profiler own is read from them when the registry is (registerOwned).
 func (s *System) recordQueryMetrics(r *run, ans *Answer) {
 	m := s.Metrics
-	if m == nil {
-		return
-	}
 	m.RecordQueryOK(ans.RequestID, ans.TotalDur, ans.PlanningDur+ans.EstimationDur, ans.ExecDur)
-	m.RecordOpCosts(ans.Profile)
 	// Planner calls, optimizer calls, then node calls in plan order.
 	recordCalls(m, r.pstats.Calls)
 	recordCalls(m, r.ostats.Calls)
@@ -1148,31 +1262,6 @@ func (s *System) recordQueryMetrics(r *run, ans *Answer) {
 	m.RecordDegradation(ans.Replans, ans.SkippedDocs)
 	m.RecordSlots(ans.SlotBusy, ans.ExecDur, s.clusterSlots())
 	m.RecordGrantWait(ans.RequestID, ans.SlotGrantWait)
-	ps := s.Pool.Stats()
-	m.RecordPool(ps.Active, ps.Utilization)
-	if ps.Machines > 1 {
-		active := make([]int, len(ps.PerMachine))
-		util := make([]float64, len(ps.PerMachine))
-		for i, pm := range ps.PerMachine {
-			active[i] = pm.Active
-			util[i] = pm.Utilization
-		}
-		m.RecordPoolMachines(active, util)
-	}
-	if s.Config.Batching {
-		m.RecordBatching(ps.BatchGrants, ps.BatchedUnits, ps.BatchOccupancy, ps.BatchSavedVTime)
-	}
-	if s.Views != nil {
-		vs := s.Views.Stats()
-		m.RecordViews(vs.Columns, vs.Rows, vs.Hits, vs.Misses, vs.Backfills, vs.Invalidated)
-	}
-	m.RecordCacheSize(s.Cache.Bytes(), s.Cache.Len())
-	for _, cli := range []llm.Client{s.PlannerClient, s.WorkerClient} {
-		if sim := llm.SimOf(cli); sim != nil {
-			calls, _ := sim.Stats()
-			m.RecordSimStats(sim.Profile().Name, calls)
-		}
-	}
 }
 
 // recordCalls charges one call log to the per-task call counters.
