@@ -83,7 +83,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "also write every result to this JSON file, keyed by experiment")
 		outDir   = flag.String("out", "", "also write each result to BENCH_<exp>.json in this directory")
 		machines = flag.Int("machines", 0, "scale experiment: max cluster width (0 = the default 1,2,4,8 sweep)")
-		nQueries = flag.Int("queries", 0, "batch, scale, usql, views: cap the query batch (0 = full workload)")
+		nQueries = flag.Int("queries", 0, "cap each experiment's query batch (0 = full workload)")
 	)
 	flag.Parse()
 

@@ -57,12 +57,7 @@ func main() {
 		machines = flag.Int("machines", 1, "simulated cluster width (1 = the paper's single machine)")
 		batch    = flag.Bool("batch", false,
 			"coalesce compatible operator LLM calls across concurrent queries (continuous batching)")
-		batchWindow = flag.Duration("batch-window", 0,
-			"virtual-time window for joining a freshly granted batch (0 = default)")
-		batchCap = flag.Duration("batch-cap", 0,
-			"fairness cap on a batched invocation's duration (0 = default, negative disables)")
-		maxBatch = flag.Int("max-batch", 0, "max calls per batched invocation (0 = default)")
-		views    = flag.Bool("views", false,
+		views = flag.Bool("views", false,
 			"materialize semantic views (serve repeated per-doc work from content-hash-keyed columns)")
 	)
 	flag.Parse()
@@ -76,12 +71,7 @@ func main() {
 		unify.WithMachines(*machines),
 	}
 	if *batch {
-		opts = append(opts,
-			unify.WithBatching(),
-			unify.WithBatchWindow(*batchWindow),
-			unify.WithBatchFairnessCap(*batchCap),
-			unify.WithMaxBatch(*maxBatch),
-		)
+		opts = append(opts, unify.WithBatching())
 	}
 	if *views {
 		opts = append(opts, unify.WithViews())

@@ -63,7 +63,6 @@ func TestForeignClientsReceiveTheSamePrompts(t *testing.T) {
 		{"faults, retries, hedging, batching", Config{
 			Dataset:    ds.Name,
 			FaultPlan:  faults.Uniform(faults.Transient, 0.2, 3, faults.OperatorTasks...),
-			MaxRetries: 3,
 			HedgeAfter: 2 * time.Second,
 			Batching:   true,
 		}},

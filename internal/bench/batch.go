@@ -78,12 +78,9 @@ var BatchLevels = []int{8, 16}
 func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
-		queries = queries[:cfg.MaxQueries]
 	}
 	res := &BatchResult{
 		Dataset:      name,
@@ -99,7 +96,7 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 			return nil, err
 		}
 		res.Slots = off.Config.Slots
-		offPt, offTexts, _, err := batchLevel(ctx, off, queries, c)
+		offPt, offAns, _, err := batchLevel(ctx, off, queries, c)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +104,7 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		onPt, onTexts, onWarm, err := batchLevel(ctx, on, queries, c)
+		onPt, onAns, onWarm, err := batchLevel(ctx, on, queries, c)
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +136,10 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 		pt.MaxBatchSize = ps.MaxBatchSize
 		pt.SavedVTimeSecs = (ps.BatchSavedVTime - onWarm.BatchSavedVTime).Seconds()
 
-		for i := range offTexts {
-			if offTexts[i] != onTexts[i] {
-				pt.AnswersIdentical = false
+		for i := range offAns {
+			if offText, onText := answerText(offAns[i]), answerText(onAns[i]); offText != onText {
 				return nil, fmt.Errorf("bench: answer %d diverged under batching at concurrency %d:\n  off: %s\n  on:  %s",
-					i, c, offTexts[i], onTexts[i])
+					i, c, offText, onText)
 			}
 		}
 		res.Points = append(res.Points, pt)
@@ -152,34 +148,28 @@ func RunBatchBench(ctx context.Context, cfg Config) (*BatchResult, error) {
 }
 
 // batchLevel warms the system with one sequential pass, freezes the cost
-// model, then reuses the serving driver for the measured concurrent run,
-// capturing every answer's text for the off/on byte-identity comparison.
-// The returned Stats snapshot is the pool state at the measurement
-// boundary, for delta-correcting lifetime counters.
-func batchLevel(ctx context.Context, sys *unify.System, queries []workload.Query, c int) (ServePoint, []string, sched.Stats, error) {
-	for _, q := range queries {
-		if _, err := sys.Query(ctx, q.Text); err != nil {
-			return ServePoint{}, nil, sched.Stats{}, fmt.Errorf("bench: warmup query %s: %w", q.ID, err)
-		}
+// model, then reuses the serving driver for the measured concurrent run
+// — throughput and utilization over the measured span only, not the pool
+// lifetime that includes the warmup pass — and returns every answer for
+// the off/on byte-identity comparison. The returned Stats snapshot is
+// the pool state at the measurement boundary, for delta-correcting
+// lifetime counters.
+func batchLevel(ctx context.Context, sys *unify.System, queries []workload.Query, c int) (ServePoint, []*unify.Answer, sched.Stats, error) {
+	if _, err := driveAll(ctx, sys, queries, 1); err != nil {
+		return ServePoint{}, nil, sched.Stats{}, fmt.Errorf("bench: warmup %w", err)
 	}
 	sys.Calib.Freeze()
 	warm := sys.Pool.Stats()
+	pt, answers, err := serveLevel(ctx, sys, queries, c, warm)
+	return pt, answers, warm, err
+}
 
-	texts := make([]string, len(queries))
-	pt, err := serveLevelCapture(ctx, sys, queries, c, texts)
-	if err != nil {
-		return pt, nil, warm, err
+// answerText is an answer's text, "" for a query that failed.
+func answerText(a *unify.Answer) string {
+	if a == nil {
+		return ""
 	}
-	// Throughput and utilization over the measured span only, not the
-	// pool lifetime that includes the warmup pass.
-	ps := sys.Pool.Stats()
-	if span := ps.SpanVTime - warm.SpanVTime; span > 0 {
-		pt.WindowSecs = span.Seconds()
-		pt.QueriesPerVSec = float64(pt.Queries-pt.Errors) / span.Seconds()
-		pt.Utilization = float64(ps.BusyTotal-warm.BusyTotal) /
-			(float64(span) * float64(ps.Slots) * float64(ps.Machines))
-	}
-	return pt, texts, warm, nil
+	return a.Text
 }
 
 // PrintBatchBench renders the batching sweep.

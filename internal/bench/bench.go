@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"unify"
@@ -18,6 +20,7 @@ import (
 	"unify/internal/corpus"
 	"unify/internal/optimizer"
 	"unify/internal/sce"
+	"unify/internal/sched"
 	"unify/internal/workload"
 )
 
@@ -39,8 +42,8 @@ type Config struct {
 	// ScaleMachines is the cluster-width sweep for the scale experiment
 	// (default 1, 2, 4, 8; must include 1, the speedup baseline).
 	ScaleMachines []int
-	// MaxQueries caps the query batch of the batch, scale, usql and views
-	// experiments (0 = the full generated workload).
+	// MaxQueries caps every experiment's query batch (0 = the full
+	// generated workload).
 	MaxQueries int
 }
 
@@ -132,8 +135,9 @@ func (u *unifyBaseline) Run(ctx context.Context, query string) (baselines.Result
 }
 
 // load generates one dataset at the configured size (0 = the paper's
-// document count) and the seeded workload over it.
-func (c Config) load(name string) (*corpus.Dataset, []workload.Query, error) {
+// document count) and the seeded workload over it: the queries keep
+// accepts (all of them when keep is nil), capped at MaxQueries.
+func (c Config) load(name string, keep func(workload.Query) bool) (*corpus.Dataset, []workload.Query, error) {
 	size := c.Size
 	if size == 0 {
 		size = corpus.DefaultSize(name)
@@ -142,7 +146,74 @@ func (c Config) load(name string) (*corpus.Dataset, []workload.Query, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return ds, workload.Generate(ds, c.PerTemplate, c.Seed), nil
+	queries := workload.Generate(ds, c.PerTemplate, c.Seed)
+	if keep != nil {
+		queries = slices.DeleteFunc(queries, func(q workload.Query) bool { return !keep(q) })
+	}
+	if c.MaxQueries > 0 && len(queries) > c.MaxQueries {
+		queries = queries[:c.MaxQueries]
+	}
+	return ds, queries, nil
+}
+
+// drive is the one query loop of the experiments: it runs queries through
+// sys, at most concurrency at a time, each starting in input order as soon
+// as a place is free — concurrency 1 is a sequential pass, len(queries)
+// offers the whole batch at once — and returns every answer and error in
+// input order.
+func drive(ctx context.Context, sys *unify.System, queries []workload.Query, concurrency int, opts ...unify.QueryOption) ([]*unify.Answer, []error) {
+	answers := make([]*unify.Answer, len(queries))
+	errs := make([]error, len(queries))
+	places := make(chan struct{}, concurrency)
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		places <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = sys.Query(ctx, q.Text, opts...)
+			<-places
+		}()
+	}
+	wg.Wait()
+	return answers, errs
+}
+
+// driveAll is drive for the passes in which no query may fail.
+func driveAll(ctx context.Context, sys *unify.System, queries []workload.Query, concurrency int, opts ...unify.QueryOption) ([]*unify.Answer, error) {
+	answers, errs := drive(ctx, sys, queries, concurrency, opts...)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("query %s: %w", queries[i].ID, err)
+		}
+	}
+	return answers, nil
+}
+
+// PoolWindow is what the shared slot pool did over one measured run, on
+// its own virtual-clock accounting: the virtual span it scheduled over,
+// its aggregate slot utilization there (busy / (span * slots),
+// structurally <= 1) and the virtual-time throughput.
+type PoolWindow struct {
+	Utilization    float64 `json:"utilization"`
+	WindowSecs     float64 `json:"window_secs"`
+	QueriesPerVSec float64 `json:"queries_per_vsec"`
+}
+
+// poolWindow is the pool's work since the snapshot before (the zero Stats
+// on a fresh system), during which n queries were answered.
+func poolWindow(sys *unify.System, before sched.Stats, n int) PoolWindow {
+	ps := sys.Pool.Stats()
+	span := ps.SpanVTime - before.SpanVTime
+	if span <= 0 {
+		return PoolWindow{}
+	}
+	return PoolWindow{
+		Utilization: float64(ps.BusyTotal-before.BusyTotal) /
+			(float64(span) * float64(ps.Slots) * float64(ps.Machines)),
+		WindowSecs:     span.Seconds(),
+		QueriesPerVSec: float64(n) / span.Seconds(),
+	}
 }
 
 // openSystem builds the experiments' standard system over a dataset —
@@ -185,7 +256,7 @@ func RunFig4(ctx context.Context, cfg Config) ([]MethodScore, error) {
 	cfg.defaults()
 	var out []MethodScore
 	for _, name := range cfg.Datasets {
-		ds, queries, err := cfg.load(name)
+		ds, queries, err := cfg.load(name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +356,7 @@ func RunTable3(ctx context.Context, cfg Config) ([]QErrorRow, error) {
 	}
 	var out []QErrorRow
 	for _, name := range datasets {
-		ds, queries, err := cfg.load(name)
+		ds, queries, err := cfg.load(name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +441,7 @@ func RunFig5a(ctx context.Context, cfg Config) ([]OptRow, error) {
 	datasets := []string{"sports", "wiki"}
 	var out []OptRow
 	for _, name := range datasets {
-		ds, queries, err := cfg.load(name)
+		ds, queries, err := cfg.load(name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -378,23 +449,13 @@ func RunFig5a(ctx context.Context, cfg Config) ([]OptRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var par, ser time.Duration
-		n := 0
-		for _, q := range queries {
-			ans, err := sys.Query(ctx, q.Text)
-			if err != nil {
-				continue
-			}
-			par += ans.ExecDur
-			ser += ans.SerialExecDur
-			n++
-		}
-		if n == 0 {
+		par, ser, ok := meanExec(drive(ctx, sys, queries, 1))
+		if !ok {
 			continue
 		}
 		out = append(out,
-			OptRow{Dataset: name, Variant: "Unify", AvgExec: par / time.Duration(n)},
-			OptRow{Dataset: name, Variant: "Unify-noLO", AvgExec: ser / time.Duration(n)},
+			OptRow{Dataset: name, Variant: "Unify", AvgExec: par},
+			OptRow{Dataset: name, Variant: "Unify-noLO", AvgExec: ser},
 		)
 	}
 	return out, nil
@@ -408,7 +469,7 @@ func RunFig5b(ctx context.Context, cfg Config) ([]OptRow, error) {
 	datasets := []string{"sports", "wiki"}
 	var out []OptRow
 	for _, name := range datasets {
-		ds, queries, err := cfg.load(name)
+		ds, queries, err := cfg.load(name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -424,23 +485,30 @@ func RunFig5b(ctx context.Context, cfg Config) ([]OptRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			var total time.Duration
-			n := 0
-			for _, q := range queries {
-				ans, err := sys.Query(ctx, q.Text)
-				if err != nil {
-					continue
-				}
-				total += ans.ExecDur
-				n++
+			if avg, _, ok := meanExec(drive(ctx, sys, queries, 1)); ok {
+				out = append(out, OptRow{Dataset: name, Variant: variant.label, AvgExec: avg})
 			}
-			if n == 0 {
-				continue
-			}
-			out = append(out, OptRow{Dataset: name, Variant: variant.label, AvgExec: total / time.Duration(n)})
 		}
 	}
 	return out, nil
+}
+
+// meanExec averages the execution makespan of the answered queries, as
+// run and had execution been fully sequential; ok is false when none
+// was answered.
+func meanExec(answers []*unify.Answer, errs []error) (parallel, serial time.Duration, ok bool) {
+	n := 0
+	for i, ans := range answers {
+		if errs[i] == nil {
+			parallel += ans.ExecDur
+			serial += ans.SerialExecDur
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0, false
+	}
+	return parallel / time.Duration(n), serial / time.Duration(n), true
 }
 
 // PrintFig5 renders Figure 5 rows.

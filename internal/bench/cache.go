@@ -80,20 +80,20 @@ func (r CacheBenchResult) MarshalJSON() ([]byte, error) {
 // runPass executes the batch once, returning total simulated latency,
 // accuracy, answers, and cache-usage tallies.
 func runPass(ctx context.Context, sys *unify.System, queries []workload.Query) (total time.Duration, acc float64, answers []string, cachedCalls, planHits int, err error) {
+	all, err := driveAll(ctx, sys, queries, 1)
+	if err != nil {
+		return 0, 0, nil, 0, 0, err
+	}
 	correct := 0
 	answers = make([]string, len(queries))
-	for i, q := range queries {
-		ans, qerr := sys.Query(ctx, q.Text)
-		if qerr != nil {
-			return 0, 0, nil, 0, 0, fmt.Errorf("query %q: %w", q.Text, qerr)
-		}
+	for i, ans := range all {
 		answers[i] = ans.Text
 		total += ans.TotalDur
 		cachedCalls += ans.CachedLLMCalls
 		if ans.PlanCacheHit {
 			planHits++
 		}
-		if workload.Score(q, ans.Text) {
+		if workload.Score(queries[i], ans.Text) {
 			correct++
 		}
 	}
@@ -111,7 +111,7 @@ func runPass(ctx context.Context, sys *unify.System, queries []workload.Query) (
 func RunCacheBench(ctx context.Context, cfg Config) (*CacheBenchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ type FaultBenchResult struct {
 func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,6 @@ func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 			Dataset:         ds.Name,
 			TrainSCE:        true,
 			FaultPlan:       sw.plan,
-			MaxRetries:      3,
 			NodeErrorBudget: 2,
 			ReplanThreshold: 3,
 		}), unify.WithCorpus(ds))
@@ -94,13 +93,13 @@ func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 		}
 		correct := 0
 		var total time.Duration
-		for _, q := range queries {
-			ans, err := sys.Query(ctx, q.Text)
-			if err != nil {
+		answers, errs := drive(ctx, sys, queries, 1)
+		for i, ans := range answers {
+			if errs[i] != nil {
 				row.Failed++
 				continue
 			}
-			if workload.Score(q, ans.Text) {
+			if workload.Score(queries[i], ans.Text) {
 				correct++
 			}
 			if ans.Partial {

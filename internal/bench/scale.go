@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"time"
 
 	"unify"
+	"unify/internal/sched"
 	"unify/internal/workload"
 )
 
@@ -28,12 +29,9 @@ type ScalePoint struct {
 	// least one operator across the shards.
 	ScatteredQueries int `json:"scattered_queries"`
 
-	// Throughput figures from the loaded pass: the whole batch offered
-	// at once to every width, measured on the pool's own virtual-clock
-	// accounting.
-	Utilization    float64 `json:"utilization"`
-	WindowSecs     float64 `json:"window_secs"`
-	QueriesPerVSec float64 `json:"queries_per_vsec"`
+	// PoolWindow holds the throughput figures from the loaded pass: the
+	// whole batch offered at once to every width.
+	PoolWindow
 	// SpeedupVsM1 is this width's QueriesPerVSec over the 1-machine
 	// point's.
 	SpeedupVsM1 float64 `json:"speedup_vs_m1"`
@@ -70,12 +68,9 @@ type ScaleResult struct {
 func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
-		queries = queries[:cfg.MaxQueries]
 	}
 	res := &ScaleResult{
 		Dataset:     name,
@@ -103,7 +98,7 @@ func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 		if m == 1 {
 			baseline = answers
 		}
-		pt.AnswersMatchM1 = answersEqual(baseline, answers)
+		pt.AnswersMatchM1 = slices.Equal(baseline, answers)
 		if !pt.AnswersMatchM1 {
 			return nil, fmt.Errorf("bench: answers at %d machines diverge from the 1-machine run", m)
 		}
@@ -129,17 +124,17 @@ func RunScaleBench(ctx context.Context, cfg Config) (*ScaleResult, error) {
 // scaleVerify runs the batch sequentially, recording each answer text
 // ("!error\t..." for failures, so mismatches surface in the comparison).
 func scaleVerify(ctx context.Context, sys *unify.System, queries []workload.Query, pt *ScalePoint) ([]string, error) {
-	answers := make([]string, len(queries))
+	texts := make([]string, len(queries))
 	var total, exec time.Duration
 	n := 0
-	for i, q := range queries {
-		ans, err := sys.Query(ctx, q.Text)
-		if err != nil {
+	answers, errs := drive(ctx, sys, queries, 1)
+	for i, ans := range answers {
+		if errs[i] != nil {
 			pt.Errors++
-			answers[i] = "!error\t" + err.Error()
+			texts[i] = "!error\t" + errs[i].Error()
 			continue
 		}
-		answers[i] = ans.Text
+		texts[i] = ans.Text
 		total += ans.TotalDur
 		exec += ans.ExecDur
 		n++
@@ -158,59 +153,27 @@ func scaleVerify(ctx context.Context, sys *unify.System, queries []workload.Quer
 	}
 	pt.MeanSecs = total.Seconds() / float64(n)
 	pt.MeanExecSecs = exec.Seconds() / float64(n)
-	return answers, nil
+	return texts, nil
 }
 
 // scaleLoad offers the whole batch at once — every query is its own
-// concurrent client, released through one start barrier — and reads the
-// throughput off the pool's virtual-clock accounting. Admissions all
-// land before the first query finishes planning, so the pool packs the
-// batch as one scheduling epoch and the makespan is dominated by slot
-// capacity, not by client pacing.
+// concurrent client — and reads the throughput off the pool's
+// virtual-clock accounting. Admissions all land before the first query
+// finishes planning, so the pool packs the batch as one scheduling epoch
+// and the makespan is dominated by slot capacity, not by client pacing.
 func scaleLoad(ctx context.Context, sys *unify.System, queries []workload.Query, pt *ScalePoint) error {
-	errs := make([]int, len(queries))
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			if _, err := sys.Query(ctx, queries[i].Text); err != nil {
-				errs[i] = 1
-			}
-		}(i)
+	_, errs := drive(ctx, sys, queries, len(queries))
+	n := 0
+	for _, err := range errs {
+		if err == nil {
+			n++
+		}
 	}
-	close(start)
-	wg.Wait()
-	failed := 0
-	for _, e := range errs {
-		failed += e
-	}
-	n := len(queries) - failed
 	if n == 0 {
 		return fmt.Errorf("bench: all %d loaded queries failed at %d machines", len(queries), pt.Machines)
 	}
-	ps := sys.Pool.Stats()
-	pt.Utilization = ps.CumUtilization
-	if ps.SpanVTime > 0 {
-		pt.WindowSecs = ps.SpanVTime.Seconds()
-		pt.QueriesPerVSec = float64(n) / ps.SpanVTime.Seconds()
-	}
+	pt.PoolWindow = poolWindow(sys, sched.Stats{}, n)
 	return nil
-}
-
-// answersEqual reports index-wise byte equality of two answer slices.
-func answersEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // PrintScaleBench renders the scale-out sweep.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"unify"
+	"unify/internal/sched"
 	"unify/internal/workload"
 )
 
@@ -32,13 +32,8 @@ type ServePoint struct {
 	// Contended counts queries that shared slots with others.
 	Contended int `json:"contended"`
 
-	// Utilization is the pool's aggregate slot utilization over the
-	// level's full virtual span (busy / (span * slots), structurally <= 1).
-	Utilization float64 `json:"utilization"`
-	// WindowSecs is the virtual span the pool scheduled over and
-	// QueriesPerVSec the virtual-time throughput.
-	WindowSecs     float64 `json:"window_secs"`
-	QueriesPerVSec float64 `json:"queries_per_vsec"`
+	// PoolWindow is the pool's accounting over the level's virtual span.
+	PoolWindow
 }
 
 // ServeResult is the serving benchmark report: the same query batch
@@ -60,7 +55,7 @@ var ServeLevels = []int{1, 2, 4, 8, 16}
 func RunServeBench(ctx context.Context, cfg Config) (*ServeResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +67,7 @@ func RunServeBench(ctx context.Context, cfg Config) (*ServeResult, error) {
 			return nil, err
 		}
 		res.Slots = sys.Config.Slots
-		pt, err := serveLevel(ctx, sys, queries, c)
+		pt, _, err := serveLevel(ctx, sys, queries, c, sched.Stats{})
 		if err != nil {
 			return nil, err
 		}
@@ -81,51 +76,20 @@ func RunServeBench(ctx context.Context, cfg Config) (*ServeResult, error) {
 	return res, nil
 }
 
-// serveLevel drives the query batch through c concurrent workers.
-func serveLevel(ctx context.Context, sys *unify.System, queries []workload.Query, c int) (ServePoint, error) {
-	return serveLevelCapture(ctx, sys, queries, c, nil)
-}
-
-// serveLevelCapture is serveLevel with an optional answer-text sink
-// (len(queries) slots) for byte-identity comparisons across runs.
-func serveLevelCapture(ctx context.Context, sys *unify.System, queries []workload.Query, c int, texts []string) (ServePoint, error) {
+// serveLevel drives the query batch at concurrency c on a system whose
+// pool stood at before (the zero Stats on a fresh system) and summarizes
+// the answers it returns (nil where a query failed).
+func serveLevel(ctx context.Context, sys *unify.System, queries []workload.Query, c int, before sched.Stats) (ServePoint, []*unify.Answer, error) {
 	pt := ServePoint{Concurrency: c, Queries: len(queries)}
-	type outcome struct {
-		ans *unify.Answer
-		err error
-	}
-	results := make([]outcome, len(queries))
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range queries {
-			next <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ans, err := sys.Query(ctx, queries[i].Text)
-				results[i] = outcome{ans, err}
-			}
-		}()
-	}
-	wg.Wait()
+	answers, errs := drive(ctx, sys, queries, c)
 
 	var lats []time.Duration
 	var totalLat, totalWait time.Duration
 	var slowdown float64
-	for i, oc := range results {
-		if oc.err != nil {
+	for i, a := range answers {
+		if errs[i] != nil {
 			pt.Errors++
 			continue
-		}
-		a := oc.ans
-		if texts != nil {
-			texts[i] = a.Text
 		}
 		lats = append(lats, a.TotalDur)
 		totalLat += a.TotalDur
@@ -141,7 +105,7 @@ func serveLevelCapture(ctx context.Context, sys *unify.System, queries []workloa
 	}
 	n := len(lats)
 	if n == 0 {
-		return pt, fmt.Errorf("bench: all %d queries failed at concurrency %d", len(queries), c)
+		return pt, nil, fmt.Errorf("bench: all %d queries failed at concurrency %d", len(queries), c)
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pt.P50Secs = lats[n/2].Seconds()
@@ -149,23 +113,8 @@ func serveLevelCapture(ctx context.Context, sys *unify.System, queries []workloa
 	pt.MeanSecs = totalLat.Seconds() / float64(n)
 	pt.MeanGrantWaitSecs = totalWait.Seconds() / float64(n)
 	pt.MeanSlowdown = slowdown / float64(n)
-
-	// Utilization comes from the pool's own accounting: the scheduler's
-	// slot busy time over the virtual span it actually scheduled across.
-	ps := sys.Pool.Stats()
-	pt.Utilization = ps.CumUtilization
-	if ps.SpanVTime > 0 {
-		pt.WindowSecs = ps.SpanVTime.Seconds()
-		pt.QueriesPerVSec = float64(n) / ps.SpanVTime.Seconds()
-	}
-	return pt, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	pt.PoolWindow = poolWindow(sys, before, n)
+	return pt, answers, nil
 }
 
 // PrintServeBench renders the serving sweep.

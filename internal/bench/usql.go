@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"time"
 
 	"unify"
@@ -79,26 +79,19 @@ type USQLResult struct {
 func RunUSQLBench(ctx context.Context, cfg Config) (*USQLResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	ds, queries, err := cfg.load(name)
+	ds, pairs, err := cfg.load(name, func(q workload.Query) bool { return q.USQL != "" })
 	if err != nil {
 		return nil, err
-	}
-	var pairs []workload.Query
-	for _, q := range queries {
-		if q.USQL == "" {
-			continue
-		}
-		pairs = append(pairs, q)
-	}
-	if cfg.MaxQueries > 0 && len(pairs) > cfg.MaxQueries {
-		pairs = pairs[:cfg.MaxQueries]
 	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("bench: workload has no dual-form (NL+USQL) queries")
 	}
+	// The parsed side is sent each pair's USQL form.
+	parsed := slices.Clone(pairs)
 	templates := map[int]bool{}
-	for _, q := range pairs {
+	for i, q := range pairs {
 		templates[q.Template] = true
+		parsed[i].Text = q.USQL
 	}
 
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
@@ -129,11 +122,11 @@ func RunUSQLBench(ctx context.Context, cfg Config) (*USQLResult, error) {
 		Templates:   len(templates),
 	}
 	for _, round := range []string{"cold", "warm"} {
-		nlAns, err := usqlDrive(ctx, nl, pairs, false)
+		nlAns, err := driveAll(ctx, nl, pairs, USQLConcurrency)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s round, NL side: %w", round, err)
 		}
-		usAns, err := usqlDrive(ctx, us, pairs, true)
+		usAns, err := driveAll(ctx, us, parsed, USQLConcurrency, unify.WithLanguage(unify.LangUSQL))
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s round, USQL side: %w", round, err)
 		}
@@ -163,76 +156,34 @@ func RunUSQLBench(ctx context.Context, cfg Config) (*USQLResult, error) {
 	return res, nil
 }
 
-// usqlDrive runs every dual-form pair through one system at
-// USQLConcurrency — the USQL twin pinned to LangUSQL on the parsed
-// side, the NL text otherwise — and returns the answers in input order.
-func usqlDrive(ctx context.Context, sys *unify.System, pairs []workload.Query, parsed bool) ([]*unify.Answer, error) {
-	answers := make([]*unify.Answer, len(pairs))
-	errs := make([]error, len(pairs))
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := range pairs {
-			next <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < USQLConcurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if parsed {
-					answers[i], errs[i] = sys.Query(ctx, pairs[i].USQL, unify.WithLanguage(unify.LangUSQL))
-				} else {
-					answers[i], errs[i] = sys.Query(ctx, pairs[i].Text)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", pairs[i].ID, err)
-		}
-	}
-	return answers, nil
-}
-
 // usqlPoint aggregates one round's answer pairs into a USQLPoint.
 func usqlPoint(round string, nlAns, usAns []*unify.Answer) USQLPoint {
 	pt := USQLPoint{Round: round, Queries: len(nlAns), Concurrency: USQLConcurrency}
-	var nlTotal, usTotal, nlPlan, usPlan time.Duration
-	var nlHits, usHits int
-	for i := range nlAns {
-		nlTotal += nlAns[i].TotalDur
-		usTotal += usAns[i].TotalDur
-		nlPlan += nlAns[i].PlanningDur
-		usPlan += usAns[i].PlanningDur
-		if nlAns[i].PlanCacheHit {
-			nlHits++
-		}
-		if usAns[i].PlanCacheHit {
-			usHits++
-		}
-	}
-	n := float64(len(nlAns))
-	pt.NLMeanSecs = nlTotal.Seconds() / n
-	pt.USQLMeanSecs = usTotal.Seconds() / n
-	pt.NLMeanPlanningSecs = nlPlan.Seconds() / n
-	pt.USQLMeanPlanningSecs = usPlan.Seconds() / n
-	pt.NLPlanCacheHitRate = float64(nlHits) / n
-	pt.USQLPlanCacheHitRate = float64(usHits) / n
-	if nlTotal > 0 {
-		pt.NLQueriesPerVSec = n / (nlTotal.Seconds() / USQLConcurrency)
-	}
-	if usTotal > 0 {
-		pt.USQLQueriesPerVSec = n / (usTotal.Seconds() / USQLConcurrency)
-	}
+	pt.NLMeanSecs, pt.NLMeanPlanningSecs, pt.NLPlanCacheHitRate, pt.NLQueriesPerVSec = usqlSide(nlAns)
+	pt.USQLMeanSecs, pt.USQLMeanPlanningSecs, pt.USQLPlanCacheHitRate, pt.USQLQueriesPerVSec = usqlSide(usAns)
 	if pt.NLQueriesPerVSec > 0 {
 		pt.Speedup = pt.USQLQueriesPerVSec / pt.NLQueriesPerVSec
 	}
 	return pt
+}
+
+// usqlSide summarizes one route's answers: mean latency, its planning
+// part, the plan-cache hit rate and the virtual-time throughput.
+func usqlSide(answers []*unify.Answer) (meanSecs, meanPlanningSecs, hitRate, qps float64) {
+	var total, plan time.Duration
+	hits := 0
+	for _, a := range answers {
+		total += a.TotalDur
+		plan += a.PlanningDur
+		if a.PlanCacheHit {
+			hits++
+		}
+	}
+	n := float64(len(answers))
+	if total > 0 {
+		qps = n / (total.Seconds() / USQLConcurrency)
+	}
+	return total.Seconds() / n, plan.Seconds() / n, float64(hits) / n, qps
 }
 
 // PrintUSQLBench renders the USQL-vs-NL report.

@@ -70,7 +70,7 @@ type ViewsResult struct {
 func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 	cfg.defaults()
 	name := cfg.Datasets[0]
-	base, queries, err := cfg.load(name)
+	base, queries, err := cfg.load(name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -82,9 +82,6 @@ func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 	full, err := corpus.GenerateN(name, size+added)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxQueries > 0 && len(queries) > cfg.MaxQueries {
-		queries = queries[:cfg.MaxQueries]
 	}
 
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
@@ -108,20 +105,28 @@ func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 
 	runPass := func(phase string) ([]*unify.Answer, error) {
 		before := sys.Views.Stats()
-		answers := make([]*unify.Answer, len(queries))
+		answers, err := driveAll(ctx, sys, queries, 1)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s pass, %w", phase, err)
+		}
 		var total time.Duration
 		calls := 0
-		for i, q := range queries {
-			ans, err := sys.Query(ctx, q.Text)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s pass, query %s: %w", phase, q.ID, err)
-			}
-			answers[i] = ans
+		for _, ans := range answers {
 			total += ans.TotalDur
 			calls += ans.LLMCalls
 		}
 		after := sys.Views.Stats()
-		res.Phases = append(res.Phases, viewsPhase(phase, len(queries), total, calls, before, after))
+		res.Phases = append(res.Phases, ViewsPhase{
+			Phase:       phase,
+			Queries:     len(queries),
+			MeanSecs:    total.Seconds() / float64(len(queries)),
+			LLMCalls:    calls,
+			ViewHits:    after.Hits - before.Hits,
+			ViewMisses:  after.Misses - before.Misses,
+			Backfills:   after.Backfills - before.Backfills,
+			Invalidated: after.Invalidated - before.Invalidated,
+			HitRate:     deltaHitRate(before, after),
+		})
 		return answers, nil
 	}
 
@@ -161,33 +166,18 @@ func RunViewsBench(ctx context.Context, cfg Config) (*ViewsResult, error) {
 		return nil, err
 	}
 	ref.Calib.Freeze()
+	cold, err := driveAll(ctx, ref, queries, 1)
+	if err != nil {
+		return nil, fmt.Errorf("bench: cold reference, %w", err)
+	}
 	for i, q := range queries {
-		ans, err := ref.Query(ctx, q.Text)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cold reference, query %s: %w", q.ID, err)
-		}
-		if ans.Text != post[i].Text {
+		if ans := cold[i]; ans.Text != post[i].Text {
 			return nil, fmt.Errorf("bench: post-ingest answer diverged for %s:\n  views: %s\n  cold:  %s",
 				q.ID, post[i].Text, ans.Text)
 		}
 	}
 	res.AnswersIdentical = true
 	return res, nil
-}
-
-// viewsPhase aggregates one workload pass into a ViewsPhase row.
-func viewsPhase(phase string, n int, total time.Duration, calls int, before, after views.Stats) ViewsPhase {
-	return ViewsPhase{
-		Phase:       phase,
-		Queries:     n,
-		MeanSecs:    total.Seconds() / float64(n),
-		LLMCalls:    calls,
-		ViewHits:    after.Hits - before.Hits,
-		ViewMisses:  after.Misses - before.Misses,
-		Backfills:   after.Backfills - before.Backfills,
-		Invalidated: after.Invalidated - before.Invalidated,
-		HitRate:     deltaHitRate(before, after),
-	}
 }
 
 // deltaHitRate is the hit rate of the reads between two snapshots.

@@ -26,9 +26,6 @@ func TestPlanModel(t *testing.T) {
 	if p.Root().ID != 2 {
 		t.Error("root should be the last node")
 	}
-	if p.Producer("{v2}").ID != 1 {
-		t.Error("producer lookup failed")
-	}
 	order, err := p.Topo()
 	if err != nil {
 		t.Fatal(err)

@@ -104,17 +104,6 @@ func (p *Plan) Node(id int) *Node {
 	return nil
 }
 
-// Producer returns the node producing the given variable token ("{v3}").
-func (p *Plan) Producer(varTok string) *Node {
-	name := strings.Trim(varTok, "{}")
-	for _, n := range p.Nodes {
-		if n.OutVar == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Topo returns the nodes in a deterministic topological order (by
 // dependency level, then id). It returns an error on cycles.
 func (p *Plan) Topo() ([]*Node, error) {

@@ -146,15 +146,6 @@ func (d *Dataset) Documents() []docstore.Document {
 	return out
 }
 
-// HiddenByID returns hidden records keyed by document id.
-func (d *Dataset) HiddenByID() map[int]Hidden {
-	out := make(map[int]Hidden, len(d.Docs))
-	for _, doc := range d.Docs {
-		out[doc.ID] = doc.Hidden
-	}
-	return out
-}
-
 // zipfWeights returns normalized Zipf-like weights so category sizes are
 // skewed (some sports dominate, as on real Stack Exchange sites).
 func zipfWeights(n int, s float64) []float64 {

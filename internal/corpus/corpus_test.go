@@ -140,12 +140,8 @@ func TestFieldCorrelation(t *testing.T) {
 	}
 }
 
-func TestHiddenByIDAndDocuments(t *testing.T) {
+func TestDocuments(t *testing.T) {
 	ds, _ := GenerateN("wiki", 50)
-	h := ds.HiddenByID()
-	if len(h) != 50 {
-		t.Errorf("HiddenByID size %d", len(h))
-	}
 	docs := ds.Documents()
 	if len(docs) != 50 || docs[7].Text != ds.Docs[7].Text {
 		t.Error("Documents conversion broken")

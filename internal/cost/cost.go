@@ -125,14 +125,8 @@ func (c *Calibrator) muLocked() time.Duration {
 	return c.totalDur / time.Duration(c.totalTokens)
 }
 
-// OutPerItem returns out_op: the average output tokens generated per
-// processed item for the physical operator.
-func (c *Calibrator) OutPerItem(phys string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.outPerItemLocked(phys)
-}
-
+// outPerItemLocked returns out_op: the average output tokens generated
+// per processed item for the physical operator.
 func (c *Calibrator) outPerItemLocked(phys string) float64 {
 	st, ok := c.llmStats[phys]
 	if !ok || st.items == 0 {

@@ -12,7 +12,7 @@ func TestColdStartPriors(t *testing.T) {
 	if c.Mu() <= 0 {
 		t.Error("cold μ must be positive")
 	}
-	if c.OutPerItem("SemanticFilter") <= 0 {
+	if c.outPerItemLocked("SemanticFilter") <= 0 {
 		t.Error("cold out_op must be positive")
 	}
 	if c.EstimateLLM("SemanticFilter", 100) <= 0 {
@@ -36,7 +36,7 @@ func TestCalibrationConverges(t *testing.T) {
 	if mu < 8*time.Millisecond || mu > 14*time.Millisecond {
 		t.Errorf("μ = %v, want ~10ms", mu)
 	}
-	out := c.OutPerItem("SemanticFilter")
+	out := c.outPerItemLocked("SemanticFilter")
 	if out < 1.8 || out > 2.2 {
 		t.Errorf("out_op = %v, want ~2", out)
 	}

@@ -58,16 +58,8 @@ type Sentence struct {
 type Option func(*options)
 
 type options struct {
-	dim      int
-	hnswCfg  vector.HNSWConfig
 	withSent bool
 }
-
-// WithDim sets the embedding dimensionality.
-func WithDim(dim int) Option { return func(o *options) { o.dim = dim } }
-
-// WithHNSW overrides the HNSW construction parameters.
-func WithHNSW(cfg vector.HNSWConfig) Option { return func(o *options) { o.hnswCfg = cfg } }
 
 // WithoutSentences skips the sentence-level index (saves preprocessing
 // time when no RAG baseline runs).
@@ -77,16 +69,16 @@ func WithoutSentences() Option { return func(o *options) { o.withSent = false } 
 // and constructing both the exact and the HNSW index. This is Unify's
 // offline preprocessing step.
 func New(name string, docs []Document, opts ...Option) (*Store, error) {
-	o := options{dim: embedding.DefaultDim, hnswCfg: vector.DefaultHNSWConfig(), withSent: true}
+	o := options{withSent: true}
 	for _, f := range opts {
 		f(&o)
 	}
 	s := &Store{
 		Name:     name,
-		embedder: embedding.New(o.dim),
+		embedder: embedding.New(embedding.DefaultDim),
 		byID:     make(map[int]int, len(docs)),
 		flat:     vector.NewFlat(),
-		hnsw:     vector.NewHNSW(o.hnswCfg),
+		hnsw:     vector.NewHNSW(vector.DefaultHNSWConfig()),
 		opts:     o,
 		hashes:   make(map[int]uint64, len(docs)),
 	}
@@ -205,7 +197,7 @@ func (s *Store) UpdateDocs(docs []Document) error {
 			}
 		}
 	}
-	s.hnsw = vector.NewHNSW(s.opts.hnswCfg)
+	s.hnsw = vector.NewHNSW(s.hnsw.Config())
 	for i, d := range s.Docs {
 		if err := s.hnsw.Add(d.ID, s.docVecs[i]); err != nil {
 			return err

@@ -98,12 +98,12 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("docstore: HNSW has %d nodes for %d documents", hnsw.Len(), len(snap.Docs))
 	}
 	s.hnsw = hnsw
-	// Reconstruct the construction options so post-load mutation
-	// (AddDocs/UpdateDoc) reindexes exactly as the original store would:
-	// the HNSW dump carries the normalized graph parameters and the RNG
-	// stream position, so incremental inserts after a round-trip are
-	// byte-identical to inserts into a never-persisted store.
-	s.opts = options{dim: snap.Dim, hnswCfg: hnsw.Config(), withSent: snap.HasSentIndex || len(snap.SentVecs) > 0}
+	// Post-load mutation (AddDocs/UpdateDoc) reindexes exactly as the
+	// original store would: the HNSW dump carries the normalized graph
+	// parameters and the RNG stream position, so incremental inserts
+	// after a round-trip are byte-identical to inserts into a
+	// never-persisted store.
+	s.opts = options{withSent: snap.HasSentIndex || len(snap.SentVecs) > 0}
 	if snap.SentVecs != nil {
 		if len(snap.SentVecs) != len(snap.Sentences) {
 			return nil, fmt.Errorf("docstore: snapshot has %d sentence vectors for %d sentences",

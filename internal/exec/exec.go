@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -411,6 +413,7 @@ func (e *Executor) runPass(ctx context.Context, plan *core.Plan, order []*core.N
 		}
 	}
 	sem := make(chan struct{}, e.maxParallel())
+	after := twins(order)
 
 	var wg sync.WaitGroup
 	for _, n := range order {
@@ -422,10 +425,15 @@ func (e *Executor) runPass(ctx context.Context, plan *core.Plan, order []*core.N
 		go func() {
 			defer wg.Done()
 			defer close(done[n.ID])
-			// Wait for prerequisites (bottom-up topological execution),
-			// bailing out when the query's context is cancelled so a
-			// server-side timeout stops in-flight plans.
-			for _, d := range n.Deps {
+			// Wait for prerequisites (bottom-up topological execution) and
+			// for the node's earlier twin, if it has one, bailing out when
+			// the query's context is cancelled so a server-side timeout
+			// stops in-flight plans.
+			waitFor := n.Deps
+			if first, ok := after[n.ID]; ok {
+				waitFor = append(slices.Clip(waitFor), first)
+			}
+			for _, d := range waitFor {
 				select {
 				case <-done[d]:
 				case <-ctx.Done():
@@ -482,6 +490,39 @@ func (e *Executor) runPass(ctx context.Context, plan *core.Plan, order []*core.N
 		return nil, err
 	}
 	return trig, nil
+}
+
+// twins maps each node that repeats an earlier node of order — the same
+// operator and implementation over the same arguments and inputs — to the
+// id of the first such node. Twins send the same prompts: run side by side
+// they race for the lead of every call the shared cache coalesces, and
+// which twin's busy time a call lands in — and with it the plan's
+// makespan — would follow goroutine arrival. The later twin therefore
+// runs after the first, which pays for the calls; the virtual schedule is
+// replayed from the plan's own edges and does not see the wait.
+func twins(order []*core.Node) map[int]int {
+	var after map[int]int
+	var firstVar map[string]string // a later twin's "{var}" -> the first twin's
+	first := func(v string) string {
+		if f, ok := firstVar[v]; ok {
+			return f
+		}
+		return v
+	}
+	sameInput := func(a, b string) bool { return first(a) == first(b) }
+	for i, n := range order {
+		for _, m := range order[:i] {
+			if n.Op == m.Op && n.Phys == m.Phys && maps.Equal(n.Args, m.Args) && slices.EqualFunc(n.Inputs, m.Inputs, sameInput) {
+				if after == nil {
+					after, firstVar = map[int]int{}, map[string]string{}
+				}
+				// m has no earlier twin: n would have met that one first.
+				after[n.ID], firstVar["{"+n.OutVar+"}"] = m.ID, "{"+m.OutVar+"}"
+				break
+			}
+		}
+	}
+	return after
 }
 
 // replanCheck reports whether a finished node's observed cardinality

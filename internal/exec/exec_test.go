@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -300,5 +301,29 @@ func TestSequentialPhysicalSerialized(t *testing.T) {
 	}
 	if len(argmax.Calls) == 0 {
 		t.Error("argmax issued no comparison calls")
+	}
+}
+
+// TestTwins: a node repeats an earlier one when operator, implementation,
+// arguments and inputs agree, where an input produced by a twin counts as
+// the first twin's.
+func TestTwins(t *testing.T) {
+	filter := func(id int, phys, cond, in, out string) *core.Node {
+		return &core.Node{ID: id, Op: "Filter", Phys: phys, Args: ops.Args{"Condition": cond}, Inputs: []string{in}, OutVar: out}
+	}
+	order := []*core.Node{
+		filter(0, "IndexFilter", "about baseball", "dataset", "v1"),
+		filter(1, "SemanticFilter", "about gear", "{v1}", "v2"),
+		filter(2, "IndexFilter", "about baseball", "dataset", "v3"), // repeats 0
+		filter(3, "SemanticFilter", "about gear", "{v3}", "v4"),     // repeats 1 through 2
+		filter(4, "SemanticFilter", "about baseball", "dataset", "v5"),
+		filter(5, "SemanticFilter", "about gear", "{v5}", "v6"), // 4 is nobody's twin, so neither is 5
+	}
+	want := map[int]int{2: 0, 3: 1}
+	if got := twins(order); !maps.Equal(got, want) {
+		t.Errorf("twins = %v, want %v", got, want)
+	}
+	if got := twins(order[:2]); got != nil {
+		t.Errorf("twins of a plan without repeats = %v, want none", got)
 	}
 }

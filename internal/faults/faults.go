@@ -7,9 +7,12 @@
 // Plan: per task family and per rate it drops requests with transient
 // errors, expires per-call deadlines, multiplies latencies (slow-slot
 // spikes), or garbles response text (malformed task outputs). Every
-// decision is keyed by (seed, rule, prompt, occurrence), so a given run
-// replays bit-for-bit while retries of the same prompt see fresh draws —
-// exactly what a deterministic failure test suite needs.
+// decision is keyed by (seed, rule, prompt, attempt), where attempt
+// numbers the tries of one logical call (llm.Request.NextAttempt): a
+// call's fate is a function of its own identity, so a run replays
+// bit-for-bit however its concurrent calls interleave — two operators
+// sending the same prompt at once meet the same fate — while each retry
+// or hedge of a call sees a fresh draw.
 //
 // The injector composes with the other client wrappers. The system
 // installs it above the response cache and below the retry layer:
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unify/internal/llm"
@@ -128,12 +132,9 @@ func (e *Error) FaultDur() time.Duration { return e.VDur }
 
 // Client is a fault-injecting llm.Client wrapper.
 type Client struct {
-	inner llm.Client
-	plan  *Plan
-
-	mu       sync.Mutex
-	disabled bool
-	occ      map[string]int // prompt → times seen (retries draw fresh faults)
+	inner    llm.Client
+	plan     *Plan
+	disabled atomic.Bool
 
 	statsMu sync.Mutex
 	stats   map[Kind]int64
@@ -142,22 +143,12 @@ type Client struct {
 // SetEnabled toggles injection at runtime. The system disables the
 // injector during offline phases (SCE training) so faults only perturb
 // query serving.
-func (c *Client) SetEnabled(on bool) {
-	c.mu.Lock()
-	c.disabled = !on
-	c.mu.Unlock()
-}
-
-func (c *Client) enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.disabled
-}
+func (c *Client) SetEnabled(on bool) { c.disabled.Store(!on) }
 
 // New wraps inner with fault injection under plan. A nil or empty plan
 // yields a pass-through wrapper.
 func New(inner llm.Client, plan *Plan) *Client {
-	return &Client{inner: inner, plan: plan, occ: map[string]int{}, stats: map[Kind]int64{}}
+	return &Client{inner: inner, plan: plan, stats: map[Kind]int64{}}
 }
 
 // Stats returns the per-kind injected-fault counts so far.
@@ -188,19 +179,9 @@ func (c *Client) record(kind Kind) {
 	c.statsMu.Unlock()
 }
 
-// nextOcc returns the occurrence index of this prompt (0 on first sight),
-// so retried calls roll fresh, but still deterministic, fault draws.
-func (c *Client) nextOcc(prompt string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.occ[prompt]
-	c.occ[prompt] = n + 1
-	return n
-}
-
 // draw is a deterministic pseudo-random draw in [0,1) keyed by the
 // decision identity, tested against rate.
-func draw(seed uint64, rule int, prompt string, occ int, rate float64) bool {
+func draw(seed uint64, rule int, prompt string, attempt int, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
@@ -208,7 +189,7 @@ func draw(seed uint64, rule int, prompt string, occ int, rate float64) bool {
 		return true
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|", seed, rule, occ)
+	fmt.Fprintf(h, "%d|%d|%d|", seed, rule, attempt)
 	h.Write([]byte(prompt))
 	return float64(h.Sum64()>>11)/(1<<53) < rate
 }
@@ -223,15 +204,15 @@ func (c *Client) Complete(ctx context.Context, prompt string) (llm.Response, err
 // plan in force the request passes through unread; an active plan keys
 // its draws by the prompt's bytes, so it renders them.
 func (c *Client) Do(ctx context.Context, req *llm.Request) (llm.Response, error) {
-	if c.plan == nil || len(c.plan.Rules) == 0 || !c.enabled() {
+	if c.plan == nil || len(c.plan.Rules) == 0 || c.disabled.Load() {
 		return llm.Do(ctx, c.inner, req)
 	}
 	task := req.Task()
 	prompt := req.Prompt()
-	occ := c.nextOcc(prompt)
+	attempt := req.NextAttempt()
 	for ri := range c.plan.Rules {
 		r := &c.plan.Rules[ri]
-		if !r.applies(task) || !draw(c.plan.Seed, ri, prompt, occ, r.Rate) {
+		if !r.applies(task) || !draw(c.plan.Seed, ri, prompt, attempt, r.Rate) {
 			continue
 		}
 		switch r.Kind {

@@ -82,18 +82,29 @@ func TestSeedChangesDraws(t *testing.T) {
 }
 
 func TestRetriesDrawFresh(t *testing.T) {
-	// At rate 1 every call faults; occurrence indexing still advances so
-	// two sends of the same prompt are distinct decisions.
-	c := New(&echo{}, Uniform(Transient, 1, 7, "filter_doc"))
-	p := prompt("filter_doc", 0)
-	if _, err := c.Complete(context.Background(), p); err == nil {
-		t.Fatal("want injected fault")
+	// A draw is keyed by the call and its try. A new call carrying the
+	// same prompt meets the first call's fate, however many calls came
+	// between; the second try of one call is a decision of its own.
+	c := New(&echo{}, Uniform(Transient, 0.5, 7, "filter_doc"))
+	ctx := context.Background()
+	faulted := func(req *llm.Request) bool {
+		_, err := c.Do(ctx, req)
+		return err != nil
 	}
-	if _, err := c.Complete(context.Background(), p); err == nil {
-		t.Fatal("want injected fault on retry too")
+	retryDiffers := 0
+	for i := 0; i < 64; i++ {
+		p := prompt("filter_doc", i)
+		first := llm.RawRequest(p)
+		try0, try1 := faulted(first), faulted(first)
+		if again := faulted(llm.RawRequest(p)); again != try0 {
+			t.Fatalf("prompt %d: first try faulted=%v, the same call made anew faulted=%v", i, try0, again)
+		}
+		if try1 != try0 {
+			retryDiffers++
+		}
 	}
-	if got := c.Stats()[Transient]; got != 2 {
-		t.Errorf("transient count = %d, want 2", got)
+	if retryDiffers == 0 {
+		t.Error("the retry repeated the first try's fate for all 64 prompts: retries do not draw fresh")
 	}
 }
 

@@ -56,7 +56,6 @@ func TestFaultMatrix(t *testing.T) {
 					sys, err := unify.New(unify.WithConfig(unify.Config{
 						Dataset:         ds.Name,
 						FaultPlan:       faults.Uniform(kind, rate, seed, faults.OperatorTasks...),
-						MaxRetries:      3,
 						NodeErrorBudget: 2,
 						ReplanThreshold: 3,
 					}), unify.WithCorpus(ds))
@@ -97,7 +96,6 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 		sys, err := unify.New(unify.WithConfig(unify.Config{
 			Dataset:         ds.Name,
 			FaultPlan:       faults.Uniform(faults.Transient, 0.2, 7, faults.OperatorTasks...),
-			MaxRetries:      3,
 			NodeErrorBudget: 2,
 		}), unify.WithCorpus(ds))
 		if err != nil {
@@ -149,7 +147,6 @@ func TestFaultToleranceAccuracy(t *testing.T) {
 			Dataset:         ds.Name,
 			TrainSCE:        true,
 			FaultPlan:       plan,
-			MaxRetries:      3,
 			NodeErrorBudget: 2,
 			ReplanThreshold: 3,
 		}), unify.WithCorpus(ds))
@@ -173,5 +170,64 @@ func TestFaultToleranceAccuracy(t *testing.T) {
 	if drop := clean - faulty; drop > 0.05 {
 		t.Errorf("accuracy dropped %.1f points under 10%% transient faults (clean %.2f, faulty %.2f)",
 			100*drop, clean, faulty)
+	}
+}
+
+// TestSiblingPromptsMeetOneFate runs a query whose plan sends every prompt
+// of one operator twice — two parallel IndexFilter nodes over the same
+// condition — under a plan mixing all four fault kinds, twelve times over.
+// A call's fate is keyed by the call, not by which sibling reached the
+// injector first, so every run injects the same faults, retries the same
+// calls and reports the same virtual times.
+func TestSiblingPromptsMeetOneFate(t *testing.T) {
+	ds, err := corpus.GenerateN("sports", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "What fraction of questions about baseball are related to equipment?"
+	run := func() (string, error) {
+		sys, err := unify.New(unify.WithConfig(unify.Config{
+			Dataset: ds.Name,
+			FaultPlan: &faults.Plan{Seed: 1109, Rules: []faults.Rule{
+				{Kind: faults.Transient, Rate: 0.15, Tasks: faults.OperatorTasks},
+				{Kind: faults.Timeout, Rate: 0.05, Tasks: faults.OperatorTasks},
+				{Kind: faults.Slow, Rate: 0.15, Tasks: faults.OperatorTasks},
+				{Kind: faults.Garbage, Rate: 0.05, Tasks: faults.OperatorTasks},
+			}},
+			NodeErrorBudget: 2,
+		}), unify.WithCorpus(ds))
+		if err != nil {
+			return "", err
+		}
+		ans, err := sys.Query(context.Background(), query)
+		if err != nil {
+			return "", err
+		}
+		filters := 0
+		for _, n := range ans.Plan.Nodes {
+			if n.Op == "Filter" && len(n.Deps) == 0 {
+				filters++
+			}
+		}
+		if filters != 2 || sys.Injector.Injected() == 0 {
+			return "", fmt.Errorf("%d sibling filters, %d faults: the query does not exercise duplicate prompts under faults",
+				filters, sys.Injector.Injected())
+		}
+		return fmt.Sprintf("%s | faults %v | retries %v | total %v exec %v busy %v | nodes %+v",
+			ans.Text, sys.Injector.Stats(), sys.Metrics.Reg.Total("unify_llm_retries_total"),
+			ans.TotalDur, ans.ExecDur, ans.SlotBusy, ans.Nodes), nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 12; i++ {
+		got, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d differs from the first:\n%s\n%s", i, got, want)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func (w *world) note(resp llm.Response, err error) {
 // TestWrappersSeeTheSameWorld sends one call sequence down two identical
 // stacks — as structured requests through Do, and as the rendered strings
 // through Complete, which is how every wrapper saw a call before requests
-// existed. Fault draws (keyed by prompt bytes and occurrence), back-off
+// existed. Fault draws (keyed by prompt bytes and try), back-off
 // jitter (hashed from the prompt), hedges, batch keys, payload keys,
 // template tokens, virtual durations, cache hits and the bytes reaching
 // the foreign base client must not differ in a single bit.

@@ -308,12 +308,6 @@ func BestConcept(text, class string) string {
 	return h.Best(class)
 }
 
-// IsBallSport reports whether the named sport involves a ball.
-func IsBallSport(name string) bool { return BallSports[strings.ToLower(name)] }
-
-// IsTeamSport reports whether the named sport requires teamwork.
-func IsTeamSport(name string) bool { return TeamSports[strings.ToLower(name)] }
-
 // Subset is a semantic subset of a concept class — "sports involving a
 // ball", "fields related to machine learning" — used by queries that
 // restrict group labels with a semantic predicate.
@@ -336,16 +330,6 @@ var subsets = map[string]Subset{
 func LookupSubset(name string) (Subset, bool) {
 	s, ok := subsets[strings.ToLower(strings.TrimSpace(name))]
 	return s, ok
-}
-
-// SubsetNames lists all subset names, sorted.
-func SubsetNames() []string {
-	out := make([]string, 0, len(subsets))
-	for n := range subsets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // InSubset reports whether a concept name belongs to the named subset.

@@ -70,7 +70,7 @@ func TestBestConcept(t *testing.T) {
 }
 
 func TestSubsets(t *testing.T) {
-	for _, name := range SubsetNames() {
+	for name := range subsets {
 		sub, ok := LookupSubset(name)
 		if !ok {
 			t.Fatalf("subset %s not found", name)
@@ -88,15 +88,6 @@ func TestSubsets(t *testing.T) {
 	}
 	if !InSubset("ball", "football") || InSubset("ball", "swimming") {
 		t.Error("ball subset membership wrong")
-	}
-}
-
-func TestBallAndTeamHelpers(t *testing.T) {
-	if !IsBallSport("Football") {
-		t.Error("case-insensitive ball sport failed")
-	}
-	if IsTeamSport("golf") {
-		t.Error("golf is not a team sport")
 	}
 }
 

@@ -42,7 +42,8 @@ type body struct {
 // handed down: Prompt memoises without locking.
 type Request struct {
 	body
-	text string // the rendering, once something has asked for it
+	text     string // the rendering, once something has asked for it
+	attempts int    // times NextAttempt has been called
 }
 
 // NewRequest describes a call to task. Field names must be distinct; the
@@ -139,6 +140,15 @@ func (r *Request) Prompt() string {
 		r.text = r.render()
 	}
 	return r.text
+}
+
+// NextAttempt numbers the tries of this one call as they pass the caller:
+// 0 for the first, 1 for its first retry or hedge, and so on. The fault
+// injector keys its draws by it, so a call's fate depends on the call
+// alone and not on how many others carried the same prompt before it.
+func (r *Request) NextAttempt() int {
+	r.attempts++
+	return r.attempts - 1
 }
 
 // Equal reports whether r and o render the same prompt.

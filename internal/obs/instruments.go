@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,11 +39,11 @@ type Metrics struct {
 	SlotUtilization  Gauge
 	GrantWaitSeconds Histogram // per-query slot-grant wait on the pool
 
-	// Serving-layer instruments: the HTTP admission queue.
-	ServeQueueDepth Gauge     // requests waiting in the admission queue
-	ServeInflight   Gauge     // requests holding an admission slot
-	ServeQueueWait  Histogram // wall-clock admission-queue wait
-	ServeRejected   Counter   // by reason: "queue_full" / "deadline"
+	// Serving-layer instruments: the HTTP admission queue. Its depth is
+	// the queue's own number, read through serveDepth when scraped.
+	serveDepth     atomic.Pointer[func() (queued, inflight int)]
+	ServeQueueWait Histogram // wall-clock admission-queue wait
+	ServeRejected  Counter   // by reason: "queue_full" / "deadline"
 
 	HTTPRequests Counter // by path
 
@@ -106,10 +107,18 @@ func NewMetrics(owned func(r *Registry, owner string)) *Metrics {
 	m.GrantWaitSeconds = r.Histogram("unify_slot_grant_wait_vtime_seconds",
 		"Per-query simulated wait for slot grants on the shared pool.", nil)
 	owned(r, "pool")
-	m.ServeQueueDepth = r.Gauge("unify_serve_queue_depth",
-		"Requests waiting in the server admission queue.")
-	m.ServeInflight = r.Gauge("unify_serve_inflight",
-		"Requests holding a server admission slot.")
+	// No series until a server attaches its admission queue.
+	serveDepth := func(name, help string, pick func(queued, inflight int) int) {
+		r.Func(name, help, TypeGauge, "", func(emit func(string, float64)) {
+			if depth := m.serveDepth.Load(); depth != nil {
+				emit("", float64(pick((*depth)())))
+			}
+		})
+	}
+	serveDepth("unify_serve_queue_depth", "Requests waiting in the server admission queue.",
+		func(queued, _ int) int { return queued })
+	serveDepth("unify_serve_inflight", "Requests holding a server admission slot.",
+		func(_, inflight int) int { return inflight })
 	m.ServeQueueWait = r.Histogram("unify_serve_queue_wait_seconds",
 		"Wall-clock time requests spent in the admission queue.", nil)
 	m.ServeRejected = r.CounterVec("unify_serve_rejected_total",
@@ -215,8 +224,9 @@ func (m *Metrics) RecordRejection(reason string) {
 	m.ServeRejected.IncL(reason)
 }
 
-// RecordServeDepth publishes the admission queue's live state.
-func (m *Metrics) RecordServeDepth(queued, inflight int) {
-	m.ServeQueueDepth.Set(float64(queued))
-	m.ServeInflight.Set(float64(inflight))
+// AttachServe names the admission queue that unify_serve_queue_depth and
+// unify_serve_inflight read when the registry is read. depth must be safe
+// for concurrent use.
+func (m *Metrics) AttachServe(depth func() (queued, inflight int)) {
+	m.serveDepth.Store(&depth)
 }

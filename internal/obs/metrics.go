@@ -207,21 +207,13 @@ func (r *Registry) Gauge(name, help string) Gauge {
 	return Gauge{r.register(&metric{name: name, help: help, typ: TypeGauge})}
 }
 
-// GaugeVec registers (or returns) a gauge keyed by one label.
-func (r *Registry) GaugeVec(name, help, label string) Gauge {
-	return Gauge{r.register(&metric{name: name, help: help, typ: TypeGauge, label: label})}
-}
-
-// Set replaces the unlabeled gauge value.
-func (g Gauge) Set(v float64) { g.SetL("", v) }
-
-// SetL replaces the gauge value for the given label value.
-func (g Gauge) SetL(labelVal string, v float64) {
+// Set replaces the gauge value.
+func (g Gauge) Set(v float64) {
 	if g.m == nil {
 		return
 	}
 	g.m.mu.Lock()
-	g.m.get(labelVal).val = v
+	g.m.get("").val = v
 	g.m.mu.Unlock()
 }
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -57,9 +56,7 @@ type Attr struct {
 
 // Tracer creates root spans. A nil *Tracer is the disabled tracer: it
 // returns nil spans, and all downstream span operations no-op.
-type Tracer struct {
-	started atomic.Int64
-}
+type Tracer struct{}
 
 // NewTracer returns an enabled tracer.
 func NewTracer() *Tracer { return &Tracer{} }
@@ -69,16 +66,7 @@ func (t *Tracer) Start(name, kind string) *Span {
 	if t == nil {
 		return nil
 	}
-	t.started.Add(1)
 	return &Span{Name: name, Kind: kind, start: time.Now()}
-}
-
-// Started reports how many root spans this tracer has begun.
-func (t *Tracer) Started() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.started.Load()
 }
 
 // StartChild begins a child span attached under s.

@@ -21,7 +21,6 @@ type FaultBudget struct {
 	mu        sync.Mutex
 	remaining int
 	skipped   int
-	lastErr   error
 }
 
 // NewFaultBudget returns a budget tolerating n absorbed failures.
@@ -34,8 +33,8 @@ func NewFaultBudget(n int) *FaultBudget {
 
 // Absorb consumes one unit of budget for a failure affecting docs
 // documents. It reports whether the failure was absorbed; callers skip
-// the documents and continue on true, and propagate err on false.
-func (b *FaultBudget) Absorb(docs int, err error) bool {
+// the documents and continue on true, and propagate the failure on false.
+func (b *FaultBudget) Absorb(docs int) bool {
 	if b == nil {
 		return false
 	}
@@ -46,7 +45,6 @@ func (b *FaultBudget) Absorb(docs int, err error) bool {
 	}
 	b.remaining--
 	b.skipped += docs
-	b.lastErr = err
 	return true
 }
 
@@ -58,14 +56,4 @@ func (b *FaultBudget) Skipped() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.skipped
-}
-
-// LastErr returns the most recently absorbed failure (nil when none).
-func (b *FaultBudget) LastErr() error {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
 }

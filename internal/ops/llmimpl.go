@@ -23,14 +23,14 @@ func complete(ctx context.Context, env *Env, task string, fields ...llm.Field) (
 	return llm.Do(ctx, env.Client, llm.NewRequest(task, fields...))
 }
 
-// viewLookup partitions ids into materialized-view hits (id -> stored
-// value, served only under a matching live content hash) and misses
-// that still need model work. With views disabled every id is a miss.
-func viewLookup(env *Env, col string, ids []int) (map[int]string, []int) {
+// viewLookup partitions ids into materialized-view hits, whose stored
+// values (served only under a matching live content hash) it writes to
+// vals, and the misses that still need model work, which it returns. With
+// views disabled every id is a miss.
+func viewLookup(env *Env, col string, ids []int, vals map[int]string) []int {
 	if env.Views == nil {
-		return nil, ids
+		return ids
 	}
-	hits := make(map[int]string)
 	misses := make([]int, 0, len(ids))
 	for _, id := range ids {
 		h, ok := env.Store.ContentHash(id)
@@ -39,13 +39,13 @@ func viewLookup(env *Env, col string, ids []int) (map[int]string, []int) {
 			continue
 		}
 		if v, ok := env.Views.Get(col, id, h); ok {
-			hits[id] = v
+			vals[id] = v
+			env.viewHits++
 		} else {
 			misses = append(misses, id)
 		}
 	}
-	env.viewHits += len(hits)
-	return hits, misses
+	return misses
 }
 
 // viewPut backfills one computed per-document result into its column,
@@ -59,60 +59,77 @@ func viewPut(env *Env, col string, id int, val string) {
 	}
 }
 
-// batchJudge filters document ids by a condition using batched prompts.
-// The per-document verdicts are materialized in the condition's view
-// column: documents already judged by an earlier query (under the same
-// content) skip the model entirely, only the misses are prompted, and
-// fresh verdicts are backfilled. The sim's verdicts are per-document
+// perDoc is the one per-document judgment loop behind the three batched
+// task families (filter_batch, classify_batch, extract_batch). It writes
+// one value per document of ids to vals, the caller's map (a map that is
+// only read where it was made does not escape to the heap). Values already
+// materialized in the view
+// column col (under the document's live content hash) skip the model
+// entirely; the misses are prompted in input order, env.batch() documents
+// a call, each call carrying the field name=value beside the documents,
+// and a reply holding one comma-separated value per document is split and
+// backfilled into the column. The sim's judgments are per-document
 // deterministic (independent of batch composition), so a view hit is
 // answer-equivalent to recomputation.
-func batchJudge(ctx context.Context, env *Env, cond string, ids []int) ([]int, error) {
-	col := views.FilterColumn(cond)
-	verdicts, misses := viewLookup(env, col, ids)
-	if verdicts == nil {
-		verdicts = make(map[int]string, len(ids))
+//
+// A chunk whose call fails is absorbed by the node's error budget — its
+// documents get no value — or fails the operator. A reply of any other
+// length goes to misaligned: the error it returns is absorbed or returned
+// the same way, and nil means the caller has dealt with the chunk.
+func perDoc(ctx context.Context, env *Env, task, name, value, col string, ids []int, vals map[int]string,
+	misaligned func(chunk []int, parts []string) error) error {
+	misses := viewLookup(env, col, ids, vals)
+	ask := func(chunk []int, texts []string) ([]string, error) {
+		resp, err := complete(ctx, env, task, llm.Text(name, value), llm.Docs("docs", texts))
+		if err != nil {
+			return nil, err
+		}
+		parts := strings.Split(resp.Text, ",")
+		if len(parts) != len(chunk) {
+			return nil, misaligned(chunk, parts)
+		}
+		return parts, nil
 	}
 	bs := env.batch()
 	for start := 0; start < len(misses); start += bs {
-		end := start + bs
-		if end > len(misses) {
-			end = len(misses)
-		}
-		chunk := misses[start:end]
+		chunk := misses[start:min(start+bs, len(misses))]
 		texts := make([]string, len(chunk))
 		for i, id := range chunk {
 			t, err := docText(env, id)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			texts[i] = t
 		}
-		resp, err := complete(ctx, env, "filter_batch",
-			llm.Text("condition", cond),
-			llm.Docs("docs", texts),
-		)
+		parts, err := ask(chunk, texts)
 		if err != nil {
-			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
-				continue // degrade: drop the chunk, keep filtering
+			if ctx.Err() == nil && env.Budget.Absorb(len(chunk)) {
+				continue // degrade: the chunk's documents stay without a value
 			}
-			return nil, err
+			return err
 		}
-		got := strings.Split(resp.Text, ",")
-		if len(got) != len(chunk) {
-			err := fmt.Errorf("%w: filter_batch returned %d verdicts for %d documents", ErrBadOutput, len(got), len(chunk))
-			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
-				continue
-			}
-			return nil, err
-		}
-		for i, v := range got {
+		for i, v := range parts {
 			v = strings.TrimSpace(v)
-			verdicts[chunk[i]] = v
+			vals[chunk[i]] = v
 			viewPut(env, col, chunk[i], v)
 		}
 	}
+	return nil
+}
+
+// batchJudge filters document ids by a condition: one filter_batch
+// verdict per document, kept in the condition's view column.
+func batchJudge(ctx context.Context, env *Env, cond string, ids []int) ([]int, error) {
+	verdicts := make(map[int]string, len(ids))
+	err := perDoc(ctx, env, "filter_batch", "condition", cond, views.FilterColumn(cond), ids, verdicts,
+		func(chunk []int, got []string) error {
+			return fmt.Errorf("%w: filter_batch returned %d verdicts for %d documents", ErrBadOutput, len(got), len(chunk))
+		})
+	if err != nil {
+		return nil, err
+	}
 	// Assemble in input order; ids from dropped (budget-absorbed)
-	// chunks have no verdict and are skipped, exactly as before.
+	// chunks have no verdict and are skipped.
 	var out []int
 	for _, id := range ids {
 		if verdicts[id] == "yes" {
@@ -233,54 +250,19 @@ func physIndexFilter() *Physical {
 	}
 }
 
-// batchClassify labels documents with one prompt per batched chunk,
-// reading and backfilling the class word's materialized view column.
+// batchClassify labels documents: one classify_batch label per document,
+// kept in the class word's view column. Documents of dropped chunks stay
+// unlabeled.
 func batchClassify(ctx context.Context, env *Env, classWord string, ids []int) (map[int]string, error) {
-	col := views.ClassifyColumn(classWord)
-	out, misses := viewLookup(env, col, ids)
-	if out == nil {
-		out = make(map[int]string, len(ids))
+	labels := make(map[int]string, len(ids))
+	err := perDoc(ctx, env, "classify_batch", "class", classWord, views.ClassifyColumn(classWord), ids, labels,
+		func(chunk []int, got []string) error {
+			return fmt.Errorf("%w: classify_batch returned %d labels for %d documents", ErrBadOutput, len(got), len(chunk))
+		})
+	if err != nil {
+		return nil, err
 	}
-	bs := env.batch()
-	for start := 0; start < len(misses); start += bs {
-		end := start + bs
-		if end > len(misses) {
-			end = len(misses)
-		}
-		chunk := misses[start:end]
-		texts := make([]string, len(chunk))
-		for i, id := range chunk {
-			t, err := docText(env, id)
-			if err != nil {
-				return nil, err
-			}
-			texts[i] = t
-		}
-		resp, err := complete(ctx, env, "classify_batch",
-			llm.Text("class", classWord),
-			llm.Docs("docs", texts),
-		)
-		if err != nil {
-			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
-				continue // degrade: the chunk's documents stay unlabeled
-			}
-			return nil, err
-		}
-		labels := strings.Split(resp.Text, ",")
-		if len(labels) != len(chunk) {
-			err := fmt.Errorf("%w: classify_batch returned %d labels for %d documents", ErrBadOutput, len(labels), len(chunk))
-			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
-				continue
-			}
-			return nil, err
-		}
-		for i, l := range labels {
-			l = strings.TrimSpace(l)
-			out[chunk[i]] = l
-			viewPut(env, col, chunk[i], l)
-		}
-	}
-	return out, nil
+	return labels, nil
 }
 
 func physSemanticGroupBy() *Physical {
@@ -315,65 +297,32 @@ func physSemanticGroupBy() *Physical {
 // model (the LLM-based extraction path of the aggregate operators).
 // Per-document values are materialized in the field's view column when
 // the model's output aligns one value per document; unaligned responses
-// flow to the aggregate positionally (as before) and skip the view,
-// since their values cannot be attributed to a document.
+// flow to the aggregate positionally and skip the view, since their
+// values cannot be attributed to a document.
 func llmFieldValues(ctx context.Context, env *Env, field string, ids []int) ([]float64, error) {
-	col := views.ExtractColumn(field)
-	vals, misses := viewLookup(env, col, ids)
-	if vals == nil {
-		vals = make(map[int]string, len(ids))
-	}
 	// loose holds the parsed values of unaligned chunks, keyed by the
 	// chunk's first id so assembly can splice them in input position.
 	var loose map[int][]float64
-	bs := env.batch()
-	for start := 0; start < len(misses); start += bs {
-		end := start + bs
-		if end > len(misses) {
-			end = len(misses)
-		}
-		chunk := misses[start:end]
-		texts := make([]string, len(chunk))
-		for i, id := range chunk {
-			t, err := docText(env, id)
-			if err != nil {
-				return nil, err
+	vals := make(map[int]string, len(ids))
+	err := perDoc(ctx, env, "extract_batch", "target", field, views.ExtractColumn(field), ids, vals,
+		func(chunk []int, parts []string) error {
+			var fs []float64
+			for _, part := range parts {
+				if v, err := strconv.ParseFloat(strings.TrimSpace(part), 64); err == nil {
+					fs = append(fs, v)
+				}
 			}
-			texts[i] = t
-		}
-		resp, err := complete(ctx, env, "extract_batch",
-			llm.Text("target", field),
-			llm.Docs("docs", texts),
-		)
-		if err != nil {
-			if ctx.Err() == nil && env.Budget.Absorb(len(chunk), err) {
-				continue // degrade: aggregate over the surviving chunks
+			if loose == nil {
+				loose = make(map[int][]float64)
 			}
-			return nil, err
-		}
-		parts := strings.Split(resp.Text, ",")
-		if len(parts) == len(chunk) {
-			for i, p := range parts {
-				p = strings.TrimSpace(p)
-				vals[chunk[i]] = p
-				viewPut(env, col, chunk[i], p)
-			}
-			continue
-		}
-		var fs []float64
-		for _, part := range parts {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(part), 64); err == nil {
-				fs = append(fs, v)
-			}
-		}
-		if loose == nil {
-			loose = make(map[int][]float64)
-		}
-		loose[chunk[0]] = fs
+			loose[chunk[0]] = fs
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	// Assemble in input order. Unparseable per-document values (e.g.
-	// "unknown") drop out here, exactly as they dropped out of the
-	// positional parse before.
+	// "unknown") drop out here, as they drop out of the positional parse.
 	var out []float64
 	for _, id := range ids {
 		if fs, ok := loose[id]; ok {
@@ -485,6 +434,43 @@ func physLLMArg(kind string) *Physical {
 	}
 }
 
+// rankByField orders ids by their model-extracted aggregate field,
+// ascending or descending as the arguments ask, ties by id. what names the
+// operation in the error raised when the model does not return one key per
+// document.
+func rankByField(ctx context.Context, env *Env, args Args, ids []int, what string) ([]int, error) {
+	vals, err := llmFieldValues(ctx, env, aggField(args), ids)
+	if err != nil {
+		return nil, err
+	}
+	if len(vals) != len(ids) {
+		return nil, fmt.Errorf("%w: semantic %s extracted %d keys for %d documents", ErrBadOutput, what, len(vals), len(ids))
+	}
+	type kv struct {
+		id int
+		v  float64
+	}
+	pairs := make([]kv, len(ids))
+	for i := range ids {
+		pairs[i] = kv{ids[i], vals[i]}
+	}
+	desc := isDesc(args)
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].v != pairs[j].v {
+			if desc {
+				return pairs[i].v > pairs[j].v
+			}
+			return pairs[i].v < pairs[j].v
+		}
+		return pairs[i].id < pairs[j].id
+	})
+	out := make([]int, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.id
+	}
+	return out, nil
+}
+
 func physLLMOrderBy() *Physical {
 	return &Physical{
 		Name:     "SemanticOrderBy",
@@ -493,36 +479,9 @@ func physLLMOrderBy() *Physical {
 			return len(inputs) >= 1 && inputs[0].Kind == values.Docs
 		},
 		Run: func(ctx context.Context, env *Env, args Args, inputs []values.Value) (values.Value, error) {
-			field := aggField(args)
-			ids := inputs[0].DocIDs
-			vals, err := llmFieldValues(ctx, env, field, ids)
+			out, err := rankByField(ctx, env, args, inputs[0].DocIDs, "sort")
 			if err != nil {
 				return values.Value{}, err
-			}
-			if len(vals) != len(ids) {
-				return values.Value{}, fmt.Errorf("%w: semantic sort extracted %d keys for %d documents", ErrBadOutput, len(vals), len(ids))
-			}
-			type kv struct {
-				id int
-				v  float64
-			}
-			pairs := make([]kv, len(ids))
-			for i := range ids {
-				pairs[i] = kv{ids[i], vals[i]}
-			}
-			desc := isDesc(args)
-			sort.Slice(pairs, func(i, j int) bool {
-				if pairs[i].v != pairs[j].v {
-					if desc {
-						return pairs[i].v > pairs[j].v
-					}
-					return pairs[i].v < pairs[j].v
-				}
-				return pairs[i].id < pairs[j].id
-			})
-			out := make([]int, len(pairs))
-			for i, p := range pairs {
-				out[i] = p.id
 			}
 			return values.Value{Kind: values.Docs, DocIDs: out}, nil
 		},
@@ -636,40 +595,12 @@ func physLLMTopK() *Physical {
 		},
 		Run: func(ctx context.Context, env *Env, args Args, inputs []values.Value) (values.Value, error) {
 			k, _ := args.Int("Number")
-			ids := inputs[0].DocIDs
-			vals, err := llmFieldValues(ctx, env, aggField(args), ids)
+			out, err := rankByField(ctx, env, args, inputs[0].DocIDs, "ranking")
 			if err != nil {
 				return values.Value{}, err
 			}
-			if len(vals) != len(ids) {
-				return values.Value{}, fmt.Errorf("%w: semantic ranking extracted %d keys for %d documents", ErrBadOutput, len(vals), len(ids))
-			}
-			type kv struct {
-				id int
-				v  float64
-			}
-			pairs := make([]kv, len(ids))
-			for i := range ids {
-				pairs[i] = kv{ids[i], vals[i]}
-			}
-			desc := isDesc(args)
-			sort.Slice(pairs, func(i, j int) bool {
-				if pairs[i].v != pairs[j].v {
-					if desc {
-						return pairs[i].v > pairs[j].v
-					}
-					return pairs[i].v < pairs[j].v
-				}
-				return pairs[i].id < pairs[j].id
-			})
-			if k > len(pairs) {
-				k = len(pairs)
-			}
-			out := make([]int, k)
-			for i := 0; i < k; i++ {
-				out[i] = pairs[i].id
-			}
-			return values.Value{Kind: values.Docs, DocIDs: out}, nil
+			k = min(k, len(out))
+			return values.Value{Kind: values.Docs, DocIDs: out[:k:k]}, nil
 		},
 	}
 }

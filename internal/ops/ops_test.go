@@ -2,6 +2,7 @@ package ops
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -727,5 +728,105 @@ func TestPercentileNumberRequired(t *testing.T) {
 	// but must be close.
 	if out.NumVal <= 0 || med.NumVal <= 0 {
 		t.Errorf("percentile %v median %v", out.NumVal, med.NumVal)
+	}
+}
+
+// breakCall lets the wrapped model answer every call but the nth (from 0),
+// which fails with err or, when err is nil, loses its last value.
+type breakCall struct {
+	llm.Client
+	n, seen int
+	err     error
+}
+
+func (b *breakCall) Complete(ctx context.Context, prompt string) (llm.Response, error) {
+	b.seen++
+	if b.seen-1 != b.n {
+		return b.Client.Complete(ctx, prompt)
+	}
+	if b.err != nil {
+		return llm.Response{}, b.err
+	}
+	resp, err := b.Client.Complete(ctx, prompt)
+	resp.Text = resp.Text[:strings.LastIndex(resp.Text, ",")]
+	return resp, err
+}
+
+// TestPerDocFailureShapes pins the shared per-document loop's two failure
+// shapes for each task family: a failed call, and a reply that does not
+// hold one value per document. Under a budget the chunk's documents are
+// skipped and the rest still answer; without one the operator fails —
+// except extract_batch, whose short replies are spliced in positionally.
+func TestPerDocFailureShapes(t *testing.T) {
+	boom := fmt.Errorf("model unreachable")
+	const docs, bs, broken = 40, 16, 1 // three chunks; the middle one breaks
+	type outcome struct {
+		valued int // documents that came back with a value
+		err    error
+	}
+	families := []struct {
+		task string
+		run  func(env *Env, ids []int) outcome
+		// short is the ErrBadOutput message of a reply one value short;
+		// "" when the family tolerates it.
+		short string
+	}{
+		{"filter_batch", func(env *Env, ids []int) outcome {
+			// Every document has views, so each verdict is a yes.
+			kept, err := batchJudge(context.Background(), env, "with more than 0 views", ids)
+			return outcome{len(kept), err}
+		}, "filter_batch returned 15 verdicts for 16 documents"},
+		{"classify_batch", func(env *Env, ids []int) outcome {
+			labels, err := batchClassify(context.Background(), env, "sport", ids)
+			return outcome{len(labels), err}
+		}, "classify_batch returned 15 labels for 16 documents"},
+		{"extract_batch", func(env *Env, ids []int) outcome {
+			vals, err := llmFieldValues(context.Background(), env, "views", ids)
+			return outcome{len(vals), err}
+		}, ""},
+	}
+	for _, fam := range families {
+		for _, shape := range []struct {
+			name string
+			err  error
+		}{{"call error", boom}, {"short reply", nil}} {
+			for _, budget := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/%s/budget %d", fam.task, shape.name, budget), func(t *testing.T) {
+					env, _ := testEnv(t, docs)
+					env.BatchSize = bs
+					env.Client = &breakCall{Client: env.Client, n: broken, err: shape.err}
+					env.Budget = NewFaultBudget(budget)
+					ids := env.Store.IDs()
+					clean, _ := testEnv(t, docs)
+					want := fam.run(clean, ids).valued
+					if want != docs {
+						t.Fatalf("clean run valued %d of %d documents", want, docs)
+					}
+					got := fam.run(env, ids)
+
+					tolerated := shape.err == nil && fam.short == ""
+					switch {
+					case tolerated:
+						// The short reply's 15 values all reach the aggregate.
+						if got.err != nil || got.valued != want-1 || env.Budget.Skipped() != 0 {
+							t.Fatalf("valued %d (clean %d), skipped %d, err %v; want the reply spliced in",
+								got.valued, want, env.Budget.Skipped(), got.err)
+						}
+					case budget == 0:
+						if shape.err != nil && !errors.Is(got.err, boom) {
+							t.Fatalf("err = %v, want the call's error", got.err)
+						}
+						if shape.err == nil && (!errors.Is(got.err, ErrBadOutput) || !strings.HasSuffix(got.err.Error(), fam.short)) {
+							t.Fatalf("err = %v, want ErrBadOutput: %s", got.err, fam.short)
+						}
+					default:
+						if got.err != nil || env.Budget.Skipped() != bs || got.valued != want-bs {
+							t.Fatalf("valued %d (clean %d), skipped %d, err %v; want one chunk of %d absorbed",
+								got.valued, want, env.Budget.Skipped(), got.err, bs)
+						}
+					}
+				})
+			}
+		}
 	}
 }

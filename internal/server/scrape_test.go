@@ -190,7 +190,12 @@ func TestScrapesRaceQueries(t *testing.T) {
 	if got := final[`unify_queries_total{status="ok"}`]; got != clients*perClient {
 		t.Errorf("unify_queries_total{ok} = %v after %d queries", got, clients*perClient)
 	}
-	if !strings.Contains(body, "\nunify_pool_active_queries 0\n") {
-		t.Error("idle server does not report unify_pool_active_queries 0")
+	// The admission queue is read when scraped: every client has its reply,
+	// so nothing waits and nothing holds a slot, whatever order the
+	// handlers finished in.
+	for _, idle := range []string{"unify_pool_active_queries", "unify_serve_queue_depth", "unify_serve_inflight"} {
+		if !strings.Contains(body, "\n"+idle+" 0\n") {
+			t.Errorf("idle server does not report %s 0", idle)
+		}
 	}
 }

@@ -74,6 +74,9 @@ func New(sys *unify.System) *Server {
 		mux:       http.NewServeMux(),
 		started:   time.Now(),
 	}
+	sys.Metrics.AttachServe(func() (queued, inflight int) {
+		return s.admission.Queued(), s.admission.Inflight()
+	})
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/plan", s.handlePlan)
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
@@ -386,7 +389,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// rejects the request before any model work starts.
 	m := s.Sys.Metrics
 	release, queueWait, err := s.admission.Acquire(ctx)
-	m.RecordServeDepth(s.admission.Queued(), s.admission.Inflight())
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			m.RecordRejection("queue_full")
@@ -401,10 +403,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"deadline expired after %.3fs in admission queue", queueWait.Seconds())
 		return
 	}
-	defer func() {
-		release()
-		m.RecordServeDepth(s.admission.Queued(), s.admission.Inflight())
-	}()
+	defer release()
 	m.RecordAdmission(queueWait)
 
 	s.corpusMu.RLock()

@@ -352,3 +352,57 @@ func TestConcurrentBackpressure(t *testing.T) {
 		}
 	}
 }
+
+// TestServeDepthReadsTheQueue pins one query inside execution and a second
+// in the admission queue, then opens the gate. The two admission gauges
+// are the queue's own numbers, read when the registry is: 1 waiting and 1
+// running while the second is still blocked inside Acquire — where a
+// gauge the handlers set on their way past could not have seen it — and
+// 0 and 0 once both clients have their reply.
+func TestServeDepthReadsTheQueue(t *testing.T) {
+	ds, err := corpus.GenerateN("sports", 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	planner := llm.NewSim(llm.SimConfig{Profile: llm.PlannerProfile(), Seed: 1})
+	worker := &gatedClient{inner: llm.NewSim(llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}), gate: gate}
+	sys, err := unify.New(unify.WithCorpus(ds), unify.WithDataset("sports"), unify.WithClients(planner, worker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sys)
+	srv.SetLimits(1, 1)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	depth := func() (queued, inflight float64) {
+		return sys.Metrics.Reg.Value("unify_serve_queue_depth", ""), sys.Metrics.Reg.Value("unify_serve_inflight", "")
+	}
+
+	var clients sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			resp := postQuery(t, ts.URL, QueryRequest{Query: servingQueries[i]})
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("query %d: status %d, want 200", i, resp.StatusCode)
+			}
+		}()
+	}
+	waitInflight(t, srv, 1)
+	for deadline := time.Now().Add(5 * time.Second); srv.admission.Queued() < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second query never reached the admission queue")
+		}
+	}
+	if q, in := depth(); q != 1 || in != 1 {
+		t.Errorf("one waiting, one running: queue_depth %v, inflight %v", q, in)
+	}
+	close(gate)
+	clients.Wait()
+	if q, in := depth(); q != 0 || in != 0 {
+		t.Errorf("idle server: queue_depth %v, inflight %v", q, in)
+	}
+}

@@ -254,15 +254,6 @@ func Bigrams(terms []string) []string {
 	return out
 }
 
-// TermFreq counts stemmed non-stop-word terms in text.
-func TermFreq(text string) map[string]int {
-	tf := make(map[string]int)
-	for _, t := range Terms(text) {
-		tf[t]++
-	}
-	return tf
-}
-
 // ContainsTerm reports whether any stemmed term of text equals the stem of
 // word. It is the primitive used by keyword filters.
 func ContainsTerm(text, word string) bool {

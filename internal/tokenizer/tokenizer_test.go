@@ -116,13 +116,6 @@ func TestContainsAny(t *testing.T) {
 	}
 }
 
-func TestTermFreq(t *testing.T) {
-	tf := TermFreq("goal goal goal keeper")
-	if tf["goal"] != 3 {
-		t.Errorf("tf[goal] = %d, want 3", tf["goal"])
-	}
-}
-
 // TestTokenizeNeverPanics fuzzes the tokenizer with arbitrary strings.
 func TestTokenizeNeverPanics(t *testing.T) {
 	f := func(s string) bool {

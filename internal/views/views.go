@@ -222,22 +222,6 @@ func (s *Store) Covers(col string, ids []int, hashOf func(int) (uint64, bool)) b
 	return true
 }
 
-// CoverageCount returns how many of ids have a fresh row in col.
-func (s *Store) CoverageCount(col string, ids []int, hashOf func(int) (uint64, bool)) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.columns[col]
-	n := 0
-	for _, id := range ids {
-		if h, ok := hashOf(id); ok {
-			if e, ok := m[id]; ok && e.Hash == h {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // AuditServed implements the views.column_fresh invariant: every row
 // served since the last audit must still match the live content hash of
 // its document. It returns one description per violation ("col key=...

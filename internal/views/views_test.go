@@ -69,9 +69,6 @@ func TestCovers(t *testing.T) {
 	if !s.Covers(col, []int{1, 2}, hashOf) {
 		t.Fatal("Covers false with both rows fresh")
 	}
-	if got := s.CoverageCount(col, []int{1, 2, 3}, hashOf); got != 2 {
-		t.Fatalf("CoverageCount = %d, want 2", got)
-	}
 	// A stale row breaks coverage.
 	hashes[2] = 99
 	if s.Covers(col, []int{1, 2}, hashOf) {

@@ -56,16 +56,6 @@ func WithCacheBytes(n int64) Option {
 	return func(o *openOptions) { o.cfg.CacheBytes = n }
 }
 
-// WithSlots sets the machine model's LLM server slots (paper: 4).
-func WithSlots(n int) Option {
-	return func(o *openOptions) { o.cfg.Slots = n }
-}
-
-// WithBatchSize sets the per-invocation document batch size.
-func WithBatchSize(n int) Option {
-	return func(o *openOptions) { o.cfg.BatchSize = n }
-}
-
 // WithMachines sets the simulated cluster width: M machines of Slots LLM
 // slots each on one shared virtual clock, with the corpus partitioned
 // into M shards (0 or 1 = the paper's single machine).
@@ -80,26 +70,6 @@ func WithMachines(n int) Option {
 // schedules and costs change. Off by default.
 func WithBatching() Option {
 	return func(o *openOptions) { o.cfg.Batching = true }
-}
-
-// WithBatchWindow sets the virtual-time hold-the-door window within which
-// compatible calls may join a freshly granted batch (0 = the default;
-// implies nothing unless WithBatching is set).
-func WithBatchWindow(d time.Duration) Option {
-	return func(o *openOptions) { o.cfg.BatchWindow = d }
-}
-
-// WithBatchFairnessCap bounds a multi-member batch's duration so a heavy
-// scan cannot grow invocations that starve light queries (0 = the
-// default; negative disables the cap).
-func WithBatchFairnessCap(d time.Duration) Option {
-	return func(o *openOptions) { o.cfg.BatchFairnessCap = d }
-}
-
-// WithMaxBatch bounds the number of calls coalesced into one batched
-// invocation (0 = the default).
-func WithMaxBatch(n int) Option {
-	return func(o *openOptions) { o.cfg.MaxBatch = n }
 }
 
 // WithViews enables materialized semantic views: per-document operator

@@ -3,7 +3,12 @@ package unify
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,10 +56,9 @@ func TestOptionsMatchWithConfig(t *testing.T) {
 // TestNewOptionOverrides checks that individual options land in Config.
 func TestNewOptionOverrides(t *testing.T) {
 	sys, err := New(
+		WithConfig(Config{Slots: 2, BatchSize: 7}),
 		WithDataset("sports"),
 		WithSize(120),
-		WithSlots(2),
-		WithBatchSize(7),
 		WithMode(optimizer.Rule),
 		WithCacheBytes(-1),
 	)
@@ -178,5 +182,48 @@ func TestPlanIsQueryFrontHalf(t *testing.T) {
 				t.Errorf("%q (%d options): Plan took %v, Query planned and estimated in %v", q, len(opts), dur, want)
 			}
 		}
+	}
+}
+
+// TestConfigSurface pins the configuration surface — Config's fields, and
+// the exported functions of options.go that return an Option or a
+// QueryOption — to testdata/config_surface.txt, so a new knob is a listed
+// diff exactly as testdata/metric_names.txt makes a new metric one.
+// Regenerate with UPDATE_GOLDENS=1 go test -run ConfigSurface.
+func TestConfigSurface(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# Config fields\n")
+	cfg := reflect.TypeOf(Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		b.WriteString(cfg.Field(i).Name + "\n")
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"Option", "QueryOption"} {
+		b.WriteString("# functions returning " + kind + "\n")
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || fn.Recv != nil || fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
+				continue
+			}
+			if res, ok := fn.Type.Results.List[0].Type.(*ast.Ident); ok && res.Name == kind {
+				b.WriteString(fn.Name.Name + "\n")
+			}
+		}
+	}
+	const golden = "testdata/config_surface.txt"
+	if os.Getenv("UPDATE_GOLDENS") != "" {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("configuration surface diverged from %s:\ngot:\n%s\nwant:\n%s", golden, b.String(), want)
 	}
 }

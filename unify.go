@@ -60,9 +60,9 @@ type Config struct {
 	// Size overrides the corpus document count (0 = the paper's size).
 	Size int
 
-	// Planner hyper-parameters (paper defaults: K=5, NC=3, Tau=0.75).
+	// Planner hyper-parameters (paper defaults: K=5, Tau=0.75; the
+	// candidate count NC is the paper's 3, fixed).
 	K   int
-	NC  int
 	Tau float64
 
 	// Machine model: LLM server slots per machine (paper: 4) and
@@ -83,19 +83,9 @@ type Config struct {
 	// single slot, amortizing base and template-prefill cost. Off by
 	// default; batch formation is deterministic given the admission and
 	// submission sequence, and answers are byte-identical either way.
+	// The policy is fixed: DefaultBatchWindow, DefaultBatchFairnessCap,
+	// DefaultMaxBatch.
 	Batching bool
-	// BatchWindow is the virtual-time hold-the-door window: compatible
-	// calls becoming ready within it after a slot grant may join the
-	// batch (0 selects DefaultBatchWindow when Batching is on).
-	BatchWindow time.Duration
-	// BatchFairnessCap bounds a multi-member batch's duration so one
-	// heavy scan cannot grow invocations that monopolize a slot and
-	// starve light queries (0 selects DefaultBatchFairnessCap; negative
-	// disables the cap).
-	BatchFairnessCap time.Duration
-	// MaxBatch bounds the calls coalesced into one invocation (0
-	// selects DefaultMaxBatch when Batching is on).
-	MaxBatch int
 
 	// Mode selects the optimizer strategy (CostBased, Rule, GroundTruth
 	// via the optimizer package constants).
@@ -129,11 +119,8 @@ type Config struct {
 
 	// FaultPlan, when non-nil, injects seeded deterministic faults into
 	// the worker client (the failure-testing harness). Enabling it also
-	// installs the retry layer with defaults unless MaxRetries is set.
+	// installs the retry layer (llm.DefaultRetryPolicy: 3 retries).
 	FaultPlan *faults.Plan
-	// MaxRetries bounds retries per worker call after transient failures
-	// (0 leaves the retry layer uninstalled unless FaultPlan is set).
-	MaxRetries int
 	// HedgeAfter, when positive, hedges slow worker calls: a response
 	// slower than this threshold triggers one backup request and the
 	// faster outcome wins.
@@ -175,18 +162,20 @@ type Config struct {
 // DefaultCacheBytes is the default shared-cache budget (64 MiB).
 const DefaultCacheBytes = 64 << 20
 
-// Continuous-batching defaults, applied when Config.Batching is on.
+// The continuous-batching policy in force when Config.Batching is on.
 const (
-	// DefaultBatchWindow holds a granted slot briefly for compatible
-	// calls about to become ready — long enough to catch lockstep
-	// chains slightly out of phase, short against the ~300ms-and-up
-	// worker calls it defers.
+	// DefaultBatchWindow is the virtual-time hold-the-door window:
+	// compatible calls becoming ready within it after a slot grant may
+	// join the batch — long enough to catch lockstep chains slightly out
+	// of phase, short against the ~300ms-and-up worker calls it defers.
 	DefaultBatchWindow = 100 * time.Millisecond
-	// DefaultBatchFairnessCap bounds one invocation to a few worker
-	// calls' worth of slot time.
+	// DefaultBatchFairnessCap bounds a multi-member batch's duration to a
+	// few worker calls' worth of slot time, so one heavy scan cannot grow
+	// invocations that monopolize a slot and starve light queries.
 	DefaultBatchFairnessCap = 2500 * time.Millisecond
-	// DefaultMaxBatch mirrors typical continuous-batching widths at the
-	// simulated worker's scale.
+	// DefaultMaxBatch bounds the calls coalesced into one invocation; it
+	// mirrors typical continuous-batching widths at the simulated
+	// worker's scale.
 	DefaultMaxBatch = 8
 )
 
@@ -196,9 +185,6 @@ func (c *Config) defaults() {
 	}
 	if c.K == 0 {
 		c.K = 5
-	}
-	if c.NC == 0 {
-		c.NC = 3
 	}
 	if c.Tau == 0 {
 		c.Tau = 0.75
@@ -211,17 +197,6 @@ func (c *Config) defaults() {
 	}
 	if c.Machines < 1 {
 		c.Machines = 1
-	}
-	if c.Batching {
-		if c.BatchWindow == 0 {
-			c.BatchWindow = DefaultBatchWindow
-		}
-		if c.BatchFairnessCap == 0 {
-			c.BatchFairnessCap = DefaultBatchFairnessCap
-		}
-		if c.MaxBatch == 0 {
-			c.MaxBatch = DefaultMaxBatch
-		}
 	}
 	if c.SCEBuckets == 0 {
 		c.SCEBuckets = 8
@@ -430,11 +405,8 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	metrics := obs.NewMetrics(s.registerOwned)
 	metrics.SetBuildInfo(Version)
 	s.Metrics = metrics
-	if cfg.FaultPlan != nil || cfg.MaxRetries > 0 || cfg.HedgeAfter > 0 {
+	if cfg.FaultPlan != nil || cfg.HedgeAfter > 0 {
 		pol := llm.DefaultRetryPolicy()
-		if cfg.MaxRetries > 0 {
-			pol.MaxAttempts = cfg.MaxRetries + 1
-		}
 		pol.HedgeAfter = cfg.HedgeAfter
 		worker = llm.NewResilient(worker, pol, metrics.RecordResilience)
 	}
@@ -453,7 +425,8 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	opt.AttachCache(s.Cache)
 	s.PlannerClient = planner
 	s.WorkerClient = worker
-	s.Planner = core.NewPlanner(planner, store.Embedder(), cfg.K, cfg.NC, cfg.Tau)
+	// Three candidate plans per query: the paper's NC (§VI-A).
+	s.Planner = core.NewPlanner(planner, store.Embedder(), cfg.K, 3, cfg.Tau)
 	s.Optimizer = opt
 	s.Executor = exec.New(store, worker, calib)
 	s.Estimator = est
@@ -513,14 +486,10 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	s.Executor.StrictChecks = cfg.StrictChecks
 	s.Pool.StrictChecks = cfg.StrictChecks
 	if cfg.Batching {
-		cap := cfg.BatchFairnessCap
-		if cap < 0 {
-			cap = 0 // negative disables the cap
-		}
 		pol := &vtime.BatchPolicy{
-			Window:      cfg.BatchWindow,
-			FairnessCap: cap,
-			MaxBatch:    cfg.MaxBatch,
+			Window:      DefaultBatchWindow,
+			FairnessCap: DefaultBatchFairnessCap,
+			MaxBatch:    DefaultMaxBatch,
 		}
 		s.Pool.Batching = pol
 		s.Executor.Batching = pol

@@ -215,7 +215,7 @@ func TestIndexFilterChosenForSelectiveScan(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.defaults()
-	if c.K != 5 || c.NC != 3 || c.Tau != 0.75 || c.Slots != 4 {
+	if c.K != 5 || c.Tau != 0.75 || c.Slots != 4 {
 		t.Errorf("defaults = %+v, want the paper's hyper-parameters", c)
 	}
 }
