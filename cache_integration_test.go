@@ -105,13 +105,13 @@ func TestWarmWorkloadSpeedup(t *testing.T) {
 	// to the layer's misses.
 	layers := sys.CacheStats()
 
-	// Dead-layer guard: the memoization story is exactly these three
+	// Dead-layer guard: the memoization story is exactly these four
 	// layers, and each must have earned a hit over cold+warm. A layer
 	// that registers on the shared cache without ever hitting fails here.
-	if len(layers) != 3 {
-		t.Errorf("cache layers = %v, want exactly llm, plan, selectivity", layers)
+	if len(layers) != 4 {
+		t.Errorf("cache layers = %v, want exactly llm, plan, selectivity, session", layers)
 	}
-	for _, name := range []string{"llm", "plan", "selectivity"} {
+	for _, name := range []string{"llm", "plan", "selectivity", "session"} {
 		if st, ok := layers[name]; !ok || st.Hits == 0 {
 			t.Errorf("cache layer %q: registered=%v hits=%d, want hits > 0", name, ok, st.Hits)
 		}

@@ -198,6 +198,43 @@ func TestDifferentialIngest(t *testing.T) {
 	ms := check.Differential(context.Background(), "ingest", diffQueries(full, 6),
 		exactRunner(static), exactRunner(incr))
 	assertNoMismatch(t, "ingest", ms)
+
+	// A planning session outlives the ingest — no planner prompt carries a
+	// document, so its key has no generation — while every plan and
+	// selectivity derived from the old corpus dies with it. A system that
+	// answered the slice before growing answers it afterwards from the
+	// memoised sessions, re-optimized, and equal to the cold rebuild.
+	warm := diffSystem(t, base, nil)
+	queries := diffQueries(full, 6)
+	for _, q := range queries {
+		if _, err := warm.Query(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := warm.Ingest(full.Documents()[135:], nil); err != nil {
+		t.Fatal(err)
+	}
+	before := warm.CacheStats()
+	replanned := func(ctx context.Context, q string) (string, error) {
+		ans, err := warm.Query(ctx, q)
+		if err != nil {
+			return "", err
+		}
+		if ans.PlanningDur != 0 || ans.PlanCacheHit {
+			t.Errorf("%q after the ingest: planning vtime %v, plan-cache hit %v; want the memoised session and a fresh optimization",
+				q, ans.PlanningDur, ans.PlanCacheHit)
+		}
+		return ans.Text, nil
+	}
+	ms = check.Differential(context.Background(), "ingest", queries, textRunner(static), replanned)
+	assertNoMismatch(t, "ingest", ms)
+	after := warm.CacheStats()
+	if d := after["session"].Sub(before["session"]); d.Hits != uint64(len(queries)) || d.Misses != 0 {
+		t.Errorf("session layer across the generation bump: %d hits, %d misses; want %d hits", d.Hits, d.Misses, len(queries))
+	}
+	if d := after["plan"].Sub(before["plan"]); d.Hits != 0 {
+		t.Errorf("plan layer served %d plans from before the ingest", d.Hits)
+	}
 }
 
 // Axis "usql_vs_nl": the USQL parser route and the LLM planner route

@@ -1,11 +1,11 @@
 // Package cache is Unify's shared reuse backbone: a sharded,
 // byte-cost-bounded LRU with in-flight coalescing (singleflight). One LRU
 // instance backs every caching layer in the system — LLM responses,
-// optimizer selectivities and plans — so a single byte budget governs
-// total memory and hot layers can displace cold ones. Entries are never
-// invalidated in place: a layer whose values depend on mutable state
-// (the corpus) puts that state's generation in its keys, and superseded
-// entries age out of the LRU.
+// planning sessions, optimizer selectivities and plans — so a single byte
+// budget governs total memory and hot layers can displace cold ones.
+// Entries are never invalidated in place: a layer whose values depend on
+// mutable state (the corpus) puts that state's generation in its keys, and
+// superseded entries age out of the LRU.
 //
 // Layers are typed, named views over the shared LRU (see Layer). Each
 // layer owns its hit/miss/eviction/coalesce counters; LayerStats is the
@@ -120,6 +120,40 @@ func (k StringKey) Equal(other Key) bool {
 // Len implements Key.
 func (k StringKey) Len() int { return len(k) }
 
+// lookup names an entry for the length of one call: a structured Key, or
+// a plain string that travels unboxed — it becomes a StringKey only when
+// an entry or a flight has to retain it — so a string-keyed hit allocates
+// nothing.
+type lookup struct {
+	key Key // nil for a string key
+	str string
+}
+
+func (k lookup) hashTo(h *maphash.Hash) {
+	if k.key != nil {
+		k.key.HashTo(h)
+		return
+	}
+	h.WriteString(k.str)
+}
+
+// names reports whether stored is the key k looks up.
+func (k lookup) names(stored Key) bool {
+	if k.key != nil {
+		return stored.Equal(k.key)
+	}
+	s, ok := stored.(StringKey)
+	return ok && string(s) == k.str
+}
+
+// retained is the form of k an entry keeps.
+func (k lookup) retained() Key {
+	if k.key != nil {
+		return k.key
+	}
+	return StringKey(k.str)
+}
+
 // ErrComputePanicked is what the waiters of a coalesced lookup receive
 // when the computation they joined panicked; the panic itself continues
 // up the computing goroutine's stack.
@@ -210,15 +244,20 @@ func New(maxBytes int64, opts ...Option) *LRU {
 
 const layerSep = "\x1f"
 
+// hashers recycles the digest state: a hasher handed to Key.HashTo
+// escapes, and one allocated per lookup was the cost of every hit.
+var hashers = sync.Pool{New: func() any { return new(maphash.Hash) }}
+
 // locate digests (layer name, key) and returns the digest with the shard
 // it selects.
-func (l *LRU) locate(ls *layerStats, key Key) (uint64, *shard) {
-	var h maphash.Hash
-	h.SetSeed(l.seed)
+func (l *LRU) locate(ls *layerStats, key lookup) (uint64, *shard) {
+	h := hashers.Get().(*maphash.Hash)
+	h.SetSeed(l.seed) // also discards what the last user wrote
 	h.WriteString(ls.name)
 	h.WriteString(layerSep)
-	key.HashTo(&h)
+	key.hashTo(h)
 	sum := h.Sum64()
+	hashers.Put(h)
 	return sum, l.shards[sum&uint64(len(l.shards)-1)]
 }
 
@@ -235,9 +274,9 @@ func (l *LRU) layer(name string) *layerStats {
 
 // findLocked walks the digest's collision chain for the entry whose layer
 // and key are the ones asked for. Caller holds sh.mu.
-func (sh *shard) findLocked(hash uint64, ls *layerStats, key Key) *entry {
+func (sh *shard) findLocked(hash uint64, ls *layerStats, key lookup) *entry {
 	for e := sh.items[hash]; e != nil; e = e.next {
-		if e.layer == ls && e.key.Equal(key) {
+		if e.layer == ls && key.names(e.key) {
 			return e
 		}
 	}
@@ -246,7 +285,7 @@ func (sh *shard) findLocked(hash uint64, ls *layerStats, key Key) *entry {
 
 // lookupLocked returns the value for key, marking it most recently used.
 // Caller holds sh.mu.
-func (sh *shard) lookupLocked(hash uint64, ls *layerStats, key Key) (any, bool) {
+func (sh *shard) lookupLocked(hash uint64, ls *layerStats, key lookup) (any, bool) {
 	e := sh.findLocked(hash, ls, key)
 	if e == nil {
 		return nil, false
@@ -276,11 +315,11 @@ func (sh *shard) removeLocked(e *entry) {
 
 // insertLocked adds or replaces an entry, then evicts from the LRU tail
 // until the shard respects its budget. Caller holds sh.mu.
-func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *layerStats) {
+func (sh *shard) insertLocked(hash uint64, key lookup, val any, cost int64, ls *layerStats) {
 	if old := sh.findLocked(hash, ls, key); old != nil {
 		sh.removeLocked(old) // replaced, not evicted
 	}
-	e := &entry{hash: hash, key: key, val: val, bytes: cost, layer: ls, next: sh.items[hash]}
+	e := &entry{hash: hash, key: key.retained(), val: val, bytes: cost, layer: ls, next: sh.items[hash]}
 	e.el = sh.ll.PushFront(e)
 	sh.items[hash] = e
 	sh.bytes += cost
@@ -294,7 +333,7 @@ func (sh *shard) insertLocked(hash uint64, key Key, val any, cost int64, ls *lay
 }
 
 // get returns the cached value for (layer, key).
-func (l *LRU) get(ls *layerStats, key Key) (any, bool) {
+func (l *LRU) get(ls *layerStats, key lookup) (any, bool) {
 	if l == nil {
 		return nil, false
 	}
@@ -311,7 +350,7 @@ func (l *LRU) get(ls *layerStats, key Key) (any, bool) {
 }
 
 // put inserts a value.
-func (l *LRU) put(ls *layerStats, key Key, val any, cost int64) {
+func (l *LRU) put(ls *layerStats, key lookup, val any, cost int64) {
 	if l == nil {
 		return
 	}
@@ -328,7 +367,7 @@ func (l *LRU) put(ls *layerStats, key Key, val any, cost int64) {
 // caller computes, concurrent identical callers wait for its result. The
 // boolean reports whether the caller avoided the computation (cache hit
 // or coalesced wait).
-func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (any, error)) (any, bool, error) {
+func (l *LRU) do(ls *layerStats, key lookup, cost func(any) int64, compute func() (any, error)) (any, bool, error) {
 	if l == nil {
 		v, err := compute()
 		return v, false, err
@@ -341,7 +380,7 @@ func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (
 		return v, true, nil
 	}
 	for _, f := range sh.inflight {
-		if f.hash != hash || f.layer != ls || !f.key.Equal(key) {
+		if f.hash != hash || f.layer != ls || !key.names(f.key) {
 			continue
 		}
 		sh.mu.Unlock()
@@ -357,7 +396,7 @@ func (l *LRU) do(ls *layerStats, key Key, cost func(any) int64, compute func() (
 	// Until compute returns, the flight's outcome is "panicked": the
 	// deferred block below runs on a panic too, so the flight always
 	// leaves inflight and its waiters always wake.
-	f := &flight{hash: hash, key: key, layer: ls, done: make(chan struct{}), err: ErrComputePanicked}
+	f := &flight{hash: hash, key: key.retained(), layer: ls, done: make(chan struct{}), err: ErrComputePanicked}
 	sh.inflight = append(sh.inflight, f)
 	sh.mu.Unlock()
 	ls.misses.Add(1)
@@ -463,7 +502,7 @@ func (l *Layer[V]) Get(key string) (V, bool) {
 	if l == nil {
 		return zero, false
 	}
-	v, ok := l.lru.get(l.stats, StringKey(key))
+	v, ok := l.lru.get(l.stats, lookup{str: key})
 	if !ok {
 		return zero, false
 	}
@@ -475,26 +514,30 @@ func (l *Layer[V]) Put(key string, v V) {
 	if l == nil {
 		return
 	}
-	l.lru.put(l.stats, StringKey(key), v, l.cost(v)+int64(len(key)))
+	l.lru.put(l.stats, lookup{str: key}, v, l.cost(v)+int64(len(key)))
 }
 
 // GetOrCompute returns the cached value for key, computing and caching it
 // on a miss while coalescing concurrent identical lookups. The boolean
 // reports whether the computation was avoided (hit or coalesced).
 func (l *Layer[V]) GetOrCompute(key string, compute func() (V, error)) (V, bool, error) {
-	return l.GetOrComputeKey(StringKey(key), compute)
+	return l.getOrCompute(lookup{str: key}, len(key), compute)
 }
 
 // GetOrComputeKey is GetOrCompute for a structured key. The key is
 // retained with the entry it creates; an entry is charged the value's
 // cost plus key.Len().
 func (l *Layer[V]) GetOrComputeKey(key Key, compute func() (V, error)) (V, bool, error) {
+	return l.getOrCompute(lookup{key: key}, key.Len(), compute)
+}
+
+func (l *Layer[V]) getOrCompute(key lookup, keyLen int, compute func() (V, error)) (V, bool, error) {
 	if l == nil {
 		v, err := compute()
 		return v, false, err
 	}
 	v, hit, err := l.lru.do(l.stats, key,
-		func(a any) int64 { return l.cost(a.(V)) + int64(key.Len()) },
+		func(a any) int64 { return l.cost(a.(V)) + int64(keyLen) },
 		func() (any, error) { return compute() })
 	if err != nil {
 		var zero V

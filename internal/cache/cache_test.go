@@ -251,12 +251,12 @@ func TestCollidingKeysStayDistinct(t *testing.T) {
 				l := New(3*cost, WithShards(1))
 				lay := NewLayer[string](l, "x", func(string) int64 { return cost })
 				get := func(name string) (string, bool) {
-					v, ok := l.get(lay.stats, collidingKey{"g", name})
+					v, ok := l.get(lay.stats, lookup{key: collidingKey{"g", name}})
 					s, _ := v.(string)
 					return s, ok
 				}
 				for _, n := range names {
-					l.put(lay.stats, collidingKey{"g", n}, "v-"+n, cost)
+					l.put(lay.stats, lookup{key: collidingKey{"g", n}}, "v-"+n, cost)
 				}
 				if got := len(l.shards[0].items); got != 1 {
 					t.Fatalf("%d digests for three colliding keys, want 1", got)
@@ -269,7 +269,7 @@ func TestCollidingKeysStayDistinct(t *testing.T) {
 				want := map[string]string{"a": "v-a", "b": "v-b", "c": "v-c"}
 				switch via {
 				case "replace":
-					l.put(lay.stats, collidingKey{"g", victim}, "new", cost)
+					l.put(lay.stats, lookup{key: collidingKey{"g", victim}}, "new", cost)
 					want[victim] = "new"
 				case "evict":
 					// Make the victim the least recently used, then push
@@ -279,7 +279,7 @@ func TestCollidingKeysStayDistinct(t *testing.T) {
 							get(n)
 						}
 					}
-					l.put(lay.stats, collidingKey{"other", "d"}, "v-d", cost)
+					l.put(lay.stats, lookup{key: collidingKey{"other", "d"}}, "v-d", cost)
 					delete(want, victim)
 				}
 				for _, n := range names {
@@ -384,5 +384,33 @@ func TestGetOrComputePanicDoesNotWedgeKey(t *testing.T) {
 	}
 	if n := len(lay.lru.shards[0].inflight); n != 0 {
 		t.Errorf("%d flights left behind", n)
+	}
+}
+
+// TestStringKeyHitAllocatesNothing pins the hit path of a string-keyed
+// layer: the hasher is pooled and the key is never boxed, so Get and a
+// GetOrCompute hit allocate nothing. (A value wider than a pointer is
+// boxed once, when it is stored, and unboxing it copies no heap. Under
+// the race detector sync.Pool drops a quarter of what it is handed back;
+// AllocsPerRun's integer average still reads 0.)
+func TestStringKeyHitAllocatesNothing(t *testing.T) {
+	lay := NewLayer[float64](New(1<<20), "x", nil)
+	lay.Put("a key of ordinary length", 0.25)
+	compute := func() (float64, error) { return 0, errors.New("computed on a hit") }
+	var sink float64
+	if n := testing.AllocsPerRun(200, func() {
+		v, _ := lay.Get("a key of ordinary length")
+		sink += v
+	}); n != 0 {
+		t.Errorf("Layer.Get hit: %v allocations per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		v, _, _ := lay.GetOrCompute("a key of ordinary length", compute)
+		sink += v
+	}); n != 0 {
+		t.Errorf("Layer.GetOrCompute hit: %v allocations per run, want 0", n)
+	}
+	if sink == 0 {
+		t.Fatal("hits returned nothing")
 	}
 }

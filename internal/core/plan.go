@@ -5,7 +5,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 
@@ -74,6 +76,65 @@ func (n *Node) Clone() *Node {
 type Plan struct {
 	Query string
 	Nodes []*Node
+
+	// digest is the plan's content digest once seal has computed it. The
+	// planner seals the candidates it returns, which nothing may modify
+	// afterwards; a Clone is a new, unsealed plan.
+	digest [sha256.Size]byte
+	sealed bool
+}
+
+// Digest returns the plan's content digest: every node's operator,
+// output variable, logical representation, sorted arguments, inputs and
+// dependency edges, with node ids renumbered to topological positions so
+// two plannings of one query digest identically. It covers nothing the
+// optimizer fills in or is configured with, so one digest serves every
+// optimizer setting. A plan the planner returned carries its digest; any
+// other plan is digested on the call.
+func (p *Plan) Digest() [sha256.Size]byte {
+	if p.sealed {
+		return p.digest
+	}
+	return p.contentDigest(sha256.New())
+}
+
+// seal computes the plan's digest once, with the caller's hasher.
+func (p *Plan) seal(h hash.Hash) {
+	p.digest, p.sealed = p.contentDigest(h), true
+}
+
+// contentDigest hashes the content Digest covers with h, which it resets.
+func (p *Plan) contentDigest(h hash.Hash) (d [sha256.Size]byte) {
+	h.Reset()
+	order, err := p.Topo()
+	if err != nil {
+		// An unsortable plan hashes by raw node order; optimizing it
+		// surfaces the error.
+		order = p.Nodes
+	}
+	pos := make(map[int]int, len(order))
+	for i, n := range order {
+		pos[n.ID] = i
+	}
+	for i, n := range order {
+		fmt.Fprintf(h, "\x1d%d|%s|%s|%s", i, n.Op, n.OutVar, n.LR)
+		keys := make([]string, 0, len(n.Args))
+		for k := range n.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "\x1c%s=%s", k, n.Args[k])
+		}
+		for _, ref := range n.Inputs {
+			fmt.Fprintf(h, "\x1bi%s", ref)
+		}
+		for _, d := range n.Deps {
+			fmt.Fprintf(h, "\x1bd%d", pos[d])
+		}
+	}
+	h.Sum(d[:0])
+	return d
 }
 
 // Clone deep-copies the plan.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"unify/internal/cache"
 	"unify/internal/embedding"
 	"unify/internal/llm"
 	"unify/internal/obs"
@@ -39,6 +41,10 @@ type Planner struct {
 	// opIndex holds the precomputed embeddings of every operator logical
 	// representation (built once, the paper's offline operator indexing).
 	opIndex []opEntry
+
+	// sessions memoises whole planning sessions (see AttachCache); nil
+	// plans every query afresh.
+	sessions *cache.Layer[*session]
 }
 
 type opEntry struct {
@@ -56,6 +62,61 @@ func NewPlanner(client llm.Client, emb *embedding.Embedder, k, nc int, tau float
 		}
 	}
 	return p
+}
+
+// session is one finished planning session as the shared cache keeps it:
+// the candidate plans, sealed and never modified again, and the stats a
+// replay of the session over a warm response cache would report — every
+// call answered by the cache at zero virtual cost.
+type session struct {
+	plans []*Plan
+	stats PlanStats
+}
+
+// sessionCost prices a session for the shared byte budget (an llm.Call
+// is 96 bytes).
+func sessionCost(s *session) int64 {
+	n := int64(64 + 96*len(s.stats.Calls))
+	for _, u := range s.stats.Unresolved {
+		n += int64(16 + len(u))
+	}
+	for _, p := range s.plans {
+		n += int64(64 + len(p.Query))
+		for _, nd := range p.Nodes {
+			n += int64(160 + len(nd.LR) + len(nd.Desc) + len(nd.OutVar))
+			for k, v := range nd.Args {
+				n += int64(32 + len(k) + len(v))
+			}
+		}
+	}
+	return n
+}
+
+// AttachCache memoises planning sessions on c, the System's shared
+// cache, as the layer "session": a repeated question is planned once and
+// looked up afterwards. The key is everything a session depends on — the
+// planning model, K, NC, Tau, MaxSteps and the query text — and carries
+// no corpus generation, because no planner prompt contains a document: a
+// session outlives every ingest. A nil c is ignored.
+//
+// The stored stats are those of a cached replay, so c must be the cache
+// Client answers from: a second planning of the question would have found
+// every prompt there.
+func (p *Planner) AttachCache(c *cache.LRU) {
+	p.sessions = cache.NewLayer[*session](c, "session", sessionCost)
+}
+
+// sessionKey renders the memo key for query.
+func (p *Planner) sessionKey(query string) string {
+	name := p.Client.Profile().Name
+	b := make([]byte, 0, len(name)+len(query)+48)
+	b = append(b, name...)
+	b = strconv.AppendInt(append(b, "|k"...), int64(p.K), 10)
+	b = strconv.AppendInt(append(b, "|c"...), int64(p.NC), 10)
+	b = strconv.AppendFloat(append(b, "|t"...), p.Tau, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|s"...), int64(p.MaxSteps), 10)
+	b = append(append(b, '|'), query...)
+	return string(b)
 }
 
 // PlanStats reports the cost of a planning session. Planning is
@@ -133,9 +194,59 @@ func (ps *planSession) ask(task string, fields ...llm.Field) (string, error) {
 	return resp.Text, nil
 }
 
-// GeneratePlans runs Algorithm 1, returning up to NC candidate logical
-// plans (at least one: the Generate fallback if decomposition fails).
+// GeneratePlans returns up to NC candidate logical plans for query (at
+// least one: the Generate fallback if decomposition fails). The plans are
+// sealed: Clone one to change it.
+//
+// With a cache attached, a question planned before is one lookup: the
+// session's shared plans, a copy of its stats the caller may write to
+// (Calls and Unresolved stay shared, read-only), and a planning span
+// marked cached=true with the session's totals and no children — the
+// per-prompt spans of a replay described lookups, not model work, and are
+// not re-materialised. Anything else runs Algorithm 1.
 func (p *Planner) GeneratePlans(ctx context.Context, query string) ([]*Plan, *PlanStats, error) {
+	if p.sessions == nil {
+		return p.search(ctx, query)
+	}
+	key := p.sessionKey(query)
+	if s, ok := p.sessions.Get(key); ok {
+		stats := s.stats
+		pspan := obs.SpanFrom(ctx)
+		pspan.SetAttr("cached", "true")
+		stampSession(pspan, s.plans, &stats)
+		return s.plans, &stats, nil
+	}
+	plans, stats, err := p.search(ctx, query)
+	if err != nil {
+		return nil, nil, err
+	}
+	replay := PlanStats{
+		Calls:      make([]llm.Call, len(stats.Calls)),
+		Fallback:   stats.Fallback,
+		Unresolved: stats.Unresolved,
+	}
+	for i, c := range stats.Calls {
+		c.Cached, c.Dur = true, 0
+		replay.Calls[i] = c
+	}
+	p.sessions.Put(key, &session{plans: plans, stats: replay})
+	return plans, stats, nil
+}
+
+// stampSession records a session's totals on the planning span.
+func stampSession(pspan *obs.Span, plans []*Plan, stats *PlanStats) {
+	if stats.Fallback {
+		pspan.SetAttr("fallback", "true")
+	}
+	pspan.SetInt("plans", len(plans))
+	pspan.SetInt("llm_calls", len(stats.Calls))
+	if n := len(stats.Unresolved); n > 0 {
+		pspan.SetInt("unresolved", n)
+	}
+}
+
+// search runs Algorithm 1.
+func (p *Planner) search(ctx context.Context, query string) ([]*Plan, *PlanStats, error) {
 	rec := llm.NewRecorder(p.Client)
 	pspan := obs.SpanFrom(ctx)
 	ps := &planSession{
@@ -170,7 +281,6 @@ func (p *Planner) GeneratePlans(ctx context.Context, query string) ([]*Plan, *Pl
 		// Error handling (paper §V-D): restore the most complete partial
 		// plan and append a Generate operator for the remaining query.
 		ps.stats.Fallback = true
-		pspan.SetAttr("fallback", "true")
 		base := start
 		if ps.best != nil {
 			base = ps.best
@@ -194,13 +304,13 @@ func (p *Planner) GeneratePlans(ctx context.Context, query string) ([]*Plan, *Pl
 		ps.plans = append(ps.plans, plan)
 	}
 
+	h := sha256.New()
+	for _, plan := range ps.plans {
+		plan.seal(h)
+	}
 	ps.stats.Calls = rec.Calls()
 	ps.stats.Duration = rec.TotalDur()
-	pspan.SetInt("plans", len(ps.plans))
-	pspan.SetInt("llm_calls", len(ps.stats.Calls))
-	if n := len(ps.stats.Unresolved); n > 0 {
-		pspan.SetInt("unresolved", n)
-	}
+	stampSession(pspan, ps.plans, ps.stats)
 	return ps.plans, ps.stats, nil
 }
 

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"errors"
 	"hash/maphash"
 
 	"unify/internal/cache"
@@ -63,17 +64,27 @@ func (c *Cached) Complete(ctx context.Context, prompt string) (Response, error) 
 // the prompt is rendered where a model has to read it.
 func (c *Cached) Do(ctx context.Context, req *Request) (Response, error) {
 	key := &cacheKey{model: c.inner.Profile().Name, body: req.body}
-	resp, hit, err := c.layer.GetOrComputeKey(key, func() (Response, error) {
-		return Do(ctx, c.inner, req)
-	})
-	if err != nil {
-		return Response{}, err
+	for {
+		led := false
+		resp, hit, err := c.layer.GetOrComputeKey(key, func() (Response, error) {
+			led = true
+			return Do(ctx, c.inner, req)
+		})
+		if err == nil {
+			if hit {
+				resp.Cached = true
+				resp.Dur = 0
+			}
+			return resp, nil
+		}
+		// A call that joined another's in-flight prompt is handed that
+		// call's error. When the error is the leader's context giving up
+		// and this caller's has not, the prompt is still this caller's to
+		// send: look again, and lead unless someone else now does.
+		if led || ctx.Err() != nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return Response{}, err
+		}
 	}
-	if hit {
-		resp.Cached = true
-		resp.Dur = 0
-	}
-	return resp, nil
 }
 
 // Profile implements Client.

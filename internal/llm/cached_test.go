@@ -2,8 +2,11 @@ package llm
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"unify/internal/cache"
 )
@@ -114,6 +117,87 @@ func TestCachedCoalescesConcurrentPrompts(t *testing.T) {
 	st := c.Stats()
 	if st.Hits+st.Misses != n {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, n)
+	}
+}
+
+// gated is a base client that answers when released and gives up when
+// its caller's context does, as Sim and HTTPClient do.
+type gated struct {
+	entered chan struct{} // one send per call that reached the model
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (g *gated) Complete(ctx context.Context, prompt string) (Response, error) {
+	g.calls.Add(1)
+	g.entered <- struct{}{}
+	select {
+	case <-ctx.Done():
+		return Response{}, ctx.Err()
+	case <-g.release:
+		return Response{Text: "yes", InTokens: 1, OutTokens: 1, Dur: time.Second}, nil
+	}
+}
+
+func (g *gated) Profile() Profile { return Profile{Name: "gated"} }
+
+// TestCoalescedCallerKeepsItsOwnContext: a call that joins another's
+// in-flight prompt must not fail because the other caller's deadline
+// passed. The leader is cancelled inside the model call with a follower
+// waiting on its flight; the follower then sends the prompt itself.
+func TestCoalescedCallerKeepsItsOwnContext(t *testing.T) {
+	base := &gated{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	lru := cache.New(1 << 20)
+	c := NewCached(base, cache.NewLayer[Response](lru, "llm", ResponseCost))
+	const prompt = "#TASK filter_doc\n#COND about tides\n#DOC d4: the moon pulls"
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := c.Complete(leaderCtx, prompt)
+		leaderErr <- err
+	}()
+	<-base.entered // the leader is inside the model call
+
+	type outcome struct {
+		resp Response
+		err  error
+	}
+	followed := make(chan outcome, 1)
+	go func() {
+		resp, err := c.Complete(context.Background(), prompt)
+		followed <- outcome{resp, err}
+	}()
+	// Let the follower park on the leader's flight. Arriving late, it
+	// leads a call of its own and every assertion below still holds.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want its own context.Canceled", err)
+	}
+	var got outcome
+	select {
+	case <-base.entered: // the follower's own call
+		close(base.release)
+		got = <-followed
+	case got = <-followed:
+	}
+	if got.err != nil {
+		t.Fatalf("follower with a live context inherited %v", got.err)
+	}
+	if got.resp.Text != "yes" || got.resp.Cached || got.resp.Dur != time.Second {
+		t.Errorf("follower response = %+v, want the live call it made itself", got.resp)
+	}
+	if n := base.calls.Load(); n != 2 {
+		t.Errorf("model saw %d calls, want 2 (the leader's and the follower's)", n)
+	}
+	if st := c.Stats(); st.Entries != 1 || lru.Len() != 1 {
+		t.Errorf("entries = %d (lru %d), want the response stored once", st.Entries, lru.Len())
+	}
+	// A follower whose own context is done gets the error it was handed.
+	if resp, err := c.Complete(context.Background(), prompt); err != nil || !resp.Cached {
+		t.Errorf("after the fact: %+v, %v; want a cache hit", resp, err)
 	}
 }
 

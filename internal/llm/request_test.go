@@ -232,11 +232,12 @@ func bytesPerRun(runs int, fn func()) float64 {
 }
 
 // The cost of a warm hit on a 16-document filter_batch request through
-// Cached.Do: the key, its hasher and the lookup's closures — and no copy
-// of the 5 KB prompt, of which the string path made four.
+// Cached.Do: the request (three objects) and the key — the hasher is
+// pooled — and no copy of the 5 KB prompt, of which the string path made
+// four.
 const (
-	warmHitAllocCeiling = 8
-	warmHitByteCeiling  = 1024
+	warmHitAllocCeiling = 4
+	warmHitByteCeiling  = 512
 )
 
 // checkCachedDoAllocations is the cache's share of

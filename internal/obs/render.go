@@ -25,31 +25,59 @@ func (s *Span) JSON() *SpanJSON {
 	if s == nil {
 		return nil
 	}
-	out := s.jsonSelf()
-	for _, c := range s.Children() {
-		out.Children = append(out.Children, c.JSON())
+	out, children := s.jsonSelf()
+	if len(children) > 0 {
+		out.Children = make([]*SpanJSON, len(children))
+		for i, c := range children {
+			out.Children[i] = c.JSON()
+		}
 	}
 	return out
 }
 
-// jsonSelf converts one span, without its children.
-func (s *Span) jsonSelf() *SpanJSON {
+// jsonSelf converts one span, without its children, and returns them as
+// they stood: one lock, and no copy of the list (see kids).
+func (s *Span) jsonSelf() (*SpanJSON, []*Span) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	wall := s.end.Sub(s.start)
+	if s.end.IsZero() {
+		wall = time.Since(s.start)
+	}
 	out := &SpanJSON{
 		Name:      s.Name,
 		Kind:      s.Kind,
-		WallMS:    float64(s.WallDur()) / float64(time.Millisecond),
-		VTimeSecs: s.VDur().Seconds(),
+		WallMS:    float64(wall) / float64(time.Millisecond),
+		VTimeSecs: s.vdur.Seconds(),
+		Open:      s.end.IsZero(),
 	}
-	s.mu.Lock()
-	out.Open = s.end.IsZero()
-	s.mu.Unlock()
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		out.Attrs = make(map[string]string, len(attrs))
-		for _, a := range attrs {
+	if len(s.attrs) > 0 {
+		out.Attrs = make(map[string]string, len(s.attrs))
+		for _, a := range s.attrs {
 			out.Attrs[a.Key] = a.Value
 		}
 	}
-	return out
+	return out, s.kidsLocked()
+}
+
+// kids returns the child list as it stands, without copying it: children
+// are only ever appended, so the elements below the length read under the
+// lock never change.
+func (s *Span) kids() []*Span {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kidsLocked()
+}
+
+func (s *Span) kidsLocked() []*Span { return s.children[:len(s.children):len(s.children)] }
+
+// size counts the spans of the tree rooted at s.
+func (s *Span) size() int {
+	n := 1
+	for _, c := range s.kids() {
+		n += c.size()
+	}
+	return n
 }
 
 // Render draws the span tree as an indented ASCII tree — the EXPLAIN

@@ -16,7 +16,7 @@ package obs
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -132,7 +132,11 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // SetInt records an integer annotation.
-func (s *Span) SetInt(key string, v int) { s.SetAttr(key, fmt.Sprint(v)) }
+func (s *Span) SetInt(key string, v int) {
+	if s != nil {
+		s.SetAttr(key, strconv.Itoa(v))
+	}
+}
 
 // SetVDur sets the span's virtual-clock (simulated) duration.
 func (s *Span) SetVDur(d time.Duration) {

@@ -216,13 +216,17 @@ func boundedJSON(root *Span, budget int) (out *SpanJSON, kept int, truncated boo
 	if root == nil || budget < 1 {
 		return nil, 0, root != nil
 	}
+	// Nearly every tree fits its budget: count, then convert in one pass.
+	if n := root.size(); n <= budget {
+		return root.JSON(), n, false
+	}
 	include := map[*Span]bool{root: true}
 	kept = 1
 	queue := []*Span{root}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for _, c := range s.Children() {
+		for _, c := range s.kids() {
 			if kept < budget {
 				include[c] = true
 				kept++
@@ -234,8 +238,8 @@ func boundedJSON(root *Span, budget int) (out *SpanJSON, kept int, truncated boo
 	}
 	var build func(s *Span) *SpanJSON
 	build = func(s *Span) *SpanJSON {
-		j := s.jsonSelf()
-		for _, c := range s.Children() {
+		j, children := s.jsonSelf()
+		for _, c := range children {
 			if include[c] {
 				j.Children = append(j.Children, build(c))
 			}

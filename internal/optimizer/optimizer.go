@@ -275,11 +275,12 @@ func (o *Optimizer) knobs() string {
 	return fmt.Sprintf("m%d|o%d|s%d|c%d|f%g|n%d|g%d", o.Mode, o.Objective, o.Slots, o.machines(), o.SampleFrac, o.Store.Len(), o.Store.Generation())
 }
 
-// planSignature produces a normalized, content-addressed key over the
-// candidate logical-plan set plus every optimizer knob that changes the
-// outcome. Node ids are renumbered to topological positions so two
-// plannings of one query hash identically. Rule mode additionally hashes
-// the query text (its pseudo-random picks depend on it).
+// planSignature is the plan-cache key of a candidate set: every optimizer
+// knob that changes the outcome, hashed over the candidates' content
+// digests (core.Plan.Digest — knob-free, and already computed on plans
+// the planner returned, so a repeated question costs this one small
+// hash). Rule mode additionally hashes the seed and the query text (its
+// pseudo-random picks depend on them).
 func (o *Optimizer) planSignature(plans []*core.Plan) string {
 	h := sha256.New()
 	io.WriteString(h, o.knobs())
@@ -289,35 +290,10 @@ func (o *Optimizer) planSignature(plans []*core.Plan) string {
 			fmt.Fprintf(h, "|q%s", plans[0].Query)
 		}
 	}
-	for pi, p := range plans {
-		order, err := p.Topo()
-		if err != nil {
-			// Unsortable plans hash by raw node order; Optimize will
-			// surface the error.
-			order = p.Nodes
-		}
-		pos := make(map[int]int, len(order))
-		for i, n := range order {
-			pos[n.ID] = i
-		}
-		fmt.Fprintf(h, "\x1ep%d", pi)
-		for i, n := range order {
-			fmt.Fprintf(h, "\x1d%d|%s|%s|%s", i, n.Op, n.OutVar, n.LR)
-			keys := make([]string, 0, len(n.Args))
-			for k := range n.Args {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(h, "\x1c%s=%s", k, n.Args[k])
-			}
-			for _, ref := range n.Inputs {
-				fmt.Fprintf(h, "\x1bi%s", ref)
-			}
-			for _, d := range n.Deps {
-				fmt.Fprintf(h, "\x1bd%d", pos[d])
-			}
-		}
+	io.WriteString(h, "\x1e")
+	for _, p := range plans {
+		d := p.Digest()
+		h.Write(d[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

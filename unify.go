@@ -111,10 +111,11 @@ type Config struct {
 	Sim *llm.SimConfig
 
 	// CacheBytes bounds the shared semantic cache (LLM responses,
-	// selectivities, plans). 0 selects DefaultCacheBytes; a negative
-	// value disables the shared cache — LLM responses are no longer
-	// cached, while the optimizer falls back to its private 4 MiB
-	// plan+selectivity LRU (see optimizer.New).
+	// planning sessions, selectivities, plans). 0 selects
+	// DefaultCacheBytes; a negative value disables the shared cache — LLM
+	// responses and planning sessions are no longer cached, while the
+	// optimizer falls back to its private 4 MiB plan+selectivity LRU (see
+	// optimizer.New).
 	CacheBytes int64
 
 	// FaultPlan, when non-nil, injects seeded deterministic faults into
@@ -383,7 +384,7 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 		s.Traces = obs.NewTraceStore(cfg.MaxTraces, cfg.MaxTraceSpans)
 	}
 	// The shared semantic cache: one byte budget across LLM responses,
-	// selectivities, and plans.
+	// planning sessions, selectivities, and plans.
 	if cfg.CacheBytes >= 0 {
 		budget := cfg.CacheBytes
 		if budget == 0 {
@@ -427,6 +428,7 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 	s.WorkerClient = worker
 	// Three candidate plans per query: the paper's NC (§VI-A).
 	s.Planner = core.NewPlanner(planner, store.Embedder(), cfg.K, 3, cfg.Tau)
+	s.Planner.AttachCache(s.Cache)
 	s.Optimizer = opt
 	s.Executor = exec.New(store, worker, calib)
 	s.Estimator = est
