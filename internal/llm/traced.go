@@ -56,11 +56,7 @@ func (t *Traced) Do(ctx context.Context, req *Request) (Response, error) {
 		return resp, err
 	}
 	if p := t.parent(); p != nil {
-		task := req.Task()
-		if task == "" {
-			task = "unknown"
-		}
-		s := p.StartChild("llm:"+task, obs.KindLLM)
+		s := p.StartChild(spanName(req.Task()), obs.KindLLM)
 		s.SetInt("in_tokens", resp.InTokens)
 		s.SetInt("out_tokens", resp.OutTokens)
 		s.SetVDur(resp.Dur)
@@ -73,6 +69,24 @@ func (t *Traced) Do(ctx context.Context, req *Request) (Response, error) {
 		s.End()
 	}
 	return resp, nil
+}
+
+// spanNames holds the span name of every task the system issues, built
+// once so that naming a call's span allocates nothing.
+var spanNames = func() map[string]string {
+	names := map[string]string{"": "llm:unknown"}
+	for task := range handlerTable() {
+		names[task] = "llm:" + task
+	}
+	return names
+}()
+
+// spanName is "llm:" + task ("llm:unknown" for a prompt without one).
+func spanName(task string) string {
+	if name, ok := spanNames[task]; ok {
+		return name
+	}
+	return "llm:" + task
 }
 
 // Profile implements Client.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"unify/internal/cache"
 	"unify/internal/obs"
 )
 
@@ -106,5 +107,45 @@ func TestTracedNilParent(t *testing.T) {
 	}
 	if len(parent.Children()) != 1 {
 		t.Errorf("attached %d spans after Attach, want 1", len(parent.Children()))
+	}
+}
+
+// TestTracedCachedCallAllocations pins what tracing adds to a cached
+// call: nothing per call. The span is carved from its tree's arena (one
+// chunk per 32 spans, which AllocsPerRun's average rounds away), its name
+// comes from spanNames, and its three attributes sit inline as integers.
+// Before the arena it was a Span, an "llm:"+task string and three
+// attribute-slice growths per call.
+func TestTracedCachedCallAllocations(t *testing.T) {
+	cached := NewCached(&quiet{}, cache.NewLayer[Response](cache.New(1<<20), "llm", ResponseCost))
+	parent := obs.NewTracer().Start("node", obs.KindNode)
+	traced := NewTraced(cached, parent)
+	ctx := context.Background()
+	req := NewRequest("filter_batch", Text("condition", "related to injury"), Text("docs", "[0] text"))
+	call := func(c Doer) func() {
+		return func() {
+			if resp, err := c.Do(ctx, req); err != nil || !resp.Cached {
+				t.Fatalf("Do = %+v, %v; want a cache hit", resp, err)
+			}
+		}
+	}
+	if _, err := cached.Do(ctx, req); err != nil { // fill the cache
+		t.Fatal(err)
+	}
+	plain := testing.AllocsPerRun(200, call(cached))
+	withSpan := testing.AllocsPerRun(200, call(traced))
+	t.Logf("cached call: %v allocations, traced: %v", plain, withSpan)
+	if withSpan != plain {
+		t.Errorf("tracing a cached call costs %v allocations, want 0", withSpan-plain)
+	}
+	last := parent.Children()[200]
+	if last.Name != "llm:filter_batch" || last.Attr("in_tokens") != "1" || last.Attr("cached") != "true" {
+		t.Errorf("span %q attrs %v", last.Name, last.Attrs())
+	}
+	if got := spanName("no_such_task"); got != "llm:no_such_task" {
+		t.Errorf("spanName of an unknown task = %q", got)
+	}
+	if got := spanName(""); got != "llm:unknown" {
+		t.Errorf("spanName of a taskless prompt = %q", got)
 	}
 }

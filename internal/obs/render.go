@@ -25,59 +25,32 @@ func (s *Span) JSON() *SpanJSON {
 	if s == nil {
 		return nil
 	}
-	out, children := s.jsonSelf()
-	if len(children) > 0 {
-		out.Children = make([]*SpanJSON, len(children))
-		for i, c := range children {
-			out.Children[i] = c.JSON()
-		}
-	}
-	return out
+	now := s.tr.now()
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.json(now)
 }
 
-// jsonSelf converts one span, without its children, and returns them as
-// they stood: one lock, and no copy of the list (see kids).
-func (s *Span) jsonSelf() (*SpanJSON, []*Span) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	wall := s.end.Sub(s.start)
-	if s.end.IsZero() {
-		wall = time.Since(s.start)
-	}
+// json converts s and its descendants. The tree's lock is held.
+func (s *Span) json(now time.Duration) *SpanJSON {
 	out := &SpanJSON{
 		Name:      s.Name,
 		Kind:      s.Kind,
-		WallMS:    float64(wall) / float64(time.Millisecond),
+		WallMS:    float64(s.wall(now)) / float64(time.Millisecond),
 		VTimeSecs: s.vdur.Seconds(),
-		Open:      s.end.IsZero(),
+		Open:      s.flags&flagEnded == 0,
 	}
-	if len(s.attrs) > 0 {
-		out.Attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			out.Attrs[a.Key] = a.Value
+	if n := s.numAttrs(); n > 0 {
+		out.Attrs = make(map[string]string, n)
+		for i := 0; i < n; i++ {
+			a := s.attrAt(i)
+			out.Attrs[a.key] = a.value()
 		}
 	}
-	return out, s.kidsLocked()
-}
-
-// kids returns the child list as it stands, without copying it: children
-// are only ever appended, so the elements below the length read under the
-// lock never change.
-func (s *Span) kids() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kidsLocked()
-}
-
-func (s *Span) kidsLocked() []*Span { return s.children[:len(s.children):len(s.children)] }
-
-// size counts the spans of the tree rooted at s.
-func (s *Span) size() int {
-	n := 1
-	for _, c := range s.kids() {
-		n += c.size()
+	for c := s.first; c != nil; c = c.next {
+		out.Children = append(out.Children, c.json(now))
 	}
-	return n
+	return out
 }
 
 // Render draws the span tree as an indented ASCII tree — the EXPLAIN
@@ -88,27 +61,30 @@ func Render(s *Span) string {
 	if s == nil {
 		return ""
 	}
+	now := s.tr.now()
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
 	var b strings.Builder
-	renderSpan(&b, s, "", "")
+	renderSpan(&b, s, now, "", "")
 	return b.String()
 }
 
-func renderSpan(b *strings.Builder, s *Span, selfPrefix, childPrefix string) {
+// renderSpan draws s and its descendants. The tree's lock is held.
+func renderSpan(b *strings.Builder, s *Span, now time.Duration, selfPrefix, childPrefix string) {
 	b.WriteString(selfPrefix)
 	b.WriteString(s.Name)
-	fmt.Fprintf(b, "  vtime=%s wall=%s", fmtDur(s.VDur()), fmtDur(s.WallDur()))
-	for _, a := range s.Attrs() {
-		fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
+	fmt.Fprintf(b, "  vtime=%s wall=%s", fmtDur(s.vdur), fmtDur(s.wall(now)))
+	for i, n := 0, s.numAttrs(); i < n; i++ {
+		a := s.attrAt(i)
+		fmt.Fprintf(b, " %s=%s", a.key, a.value())
 	}
 	b.WriteByte('\n')
-	children := s.Children()
-	for i, c := range children {
-		last := i == len(children)-1
+	for c := s.first; c != nil; c = c.next {
 		branch, cont := "├─ ", "│  "
-		if last {
+		if c.next == nil {
 			branch, cont = "└─ ", "   "
 		}
-		renderSpan(b, c, childPrefix+branch, childPrefix+cont)
+		renderSpan(b, c, now, childPrefix+branch, childPrefix+cont)
 	}
 }
 

@@ -16,6 +16,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -35,16 +36,75 @@ const (
 // rooted at the query span. All methods are safe on a nil receiver and
 // safe for concurrent use (executor node spans attach LLM-call children
 // from worker goroutines).
+//
+// Spans are carved from their tree's arena (see trace) and guarded by
+// the tree's one lock: building a tree costs an allocation per chunk of
+// spans, not one per span. Wall-clock times are offsets from the tree's
+// origin. Once the tree is sealed (TraceStore.Put) every mutator is a
+// no-op and StartChild/NewDetached return nil, as on a disabled tracer;
+// readers keep working, so Answer.Trace and NodeResult.Span stay valid
+// for as long as the caller holds them.
 type Span struct {
 	Name string
 	Kind string
 
+	tr                *trace
+	first, last, next *Span // intrusive child list and sibling link
+	start, end        time.Duration
+	vdur              time.Duration
+	ninline           uint8
+	flags             uint8
+	inline            [inlineAttrs]attr
+	more              []attr // attributes beyond the inline room, in order
+}
+
+const (
+	flagEnded    uint8 = 1 << iota // End was called
+	flagAttached                   // linked under a parent, or the root
+	flagKept                       // selected by the last retention pass (store.go)
+)
+
+// Arena geometry. With a 240-byte Span the tree header plus its first
+// chunk fill a 4 KiB allocation and each further chunk just under 8 KiB:
+// a 15-span query pays for one small object, a 100-span query for four.
+const (
+	firstChunkSpans = 16
+	chunkSpans      = 32
+	// inlineAttrs covers an llm: span (in_tokens, out_tokens, cached) and
+	// most phase spans; node spans overflow into one slice.
+	inlineAttrs   = 3
+	overflowAttrs = 8 // capacity of a span's first overflow slice
+)
+
+// trace is one span tree's header: the lock every span of the tree
+// shares, the seal, the wall-clock origin and the arena spans are carved
+// from. It is allocated once per Tracer.Start, together with the first
+// chunk; first[0] is the root span.
+type trace struct {
 	mu       sync.Mutex
-	start    time.Time
-	end      time.Time
-	vdur     time.Duration
-	attrs    []Attr
-	children []*Span
+	sealed   bool
+	sealedAt time.Duration // when; open spans stopped running then
+	base     time.Time
+	free     []Span // unused tail of the current chunk
+	first    [firstChunkSpans]Span
+}
+
+// attr is one annotation: a string, or — when num is not notInt — an
+// integer that is formatted only when somebody reads it.
+type attr struct {
+	key, str string
+	num      int64
+}
+
+// notInt marks a string attribute. SetInt formats the one integer that
+// collides with it.
+const notInt = math.MinInt64
+
+func (a *attr) value() string {
+	if a.num == notInt {
+		return a.str
+	}
+	return strconv.FormatInt(a.num, 10)
 }
 
 // Attr is one key/value annotation on a span. Attributes keep insertion
@@ -66,7 +126,46 @@ func (t *Tracer) Start(name, kind string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{Name: name, Kind: kind, start: time.Now()}
+	tr := &trace{base: time.Now()}
+	tr.free = tr.first[1:]
+	s := &tr.first[0]
+	s.Name, s.Kind, s.tr, s.flags = name, kind, tr, flagAttached
+	return s
+}
+
+// now is the wall clock as an offset from the tree's origin.
+func (t *trace) now() time.Duration { return time.Since(t.base) }
+
+// newSpan carves a span from the arena and, given a parent, links it as
+// the parent's last child. It returns nil once the tree is sealed.
+func (t *trace) newSpan(name, kind string, parent *Span) *Span {
+	start := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return nil
+	}
+	if len(t.free) == 0 {
+		t.free = make([]Span, chunkSpans)
+	}
+	c := &t.free[0]
+	t.free = t.free[1:]
+	c.Name, c.Kind, c.tr, c.start = name, kind, t, start
+	if parent != nil {
+		parent.link(c)
+	}
+	return c
+}
+
+// link appends c to s's child list. The tree's lock is held.
+func (s *Span) link(c *Span) {
+	c.flags |= flagAttached
+	if s.last == nil {
+		s.first = c
+	} else {
+		s.last.next = c
+	}
+	s.last = c
 }
 
 // StartChild begins a child span attached under s.
@@ -74,11 +173,7 @@ func (s *Span) StartChild(name, kind string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Kind: kind, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
+	return s.tr.newSpan(name, kind, s)
 }
 
 // NewDetached begins a span that is not yet part of the tree; attach it
@@ -89,17 +184,22 @@ func (s *Span) NewDetached(name, kind string) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{Name: name, Kind: kind, start: time.Now()}
+	return s.tr.newSpan(name, kind, nil)
 }
 
-// Adopt appends a detached span as a child of s. A nil child is ignored.
+// Adopt appends a detached span of the same tree as a child of s. A nil
+// child, a span that is already attached and a span of another tree are
+// ignored.
 func (s *Span) Adopt(c *Span) {
-	if s == nil || c == nil {
+	if s == nil || c == nil || c.tr != s.tr {
 		return
 	}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	if !t.sealed && c.flags&flagAttached == 0 {
+		s.link(c)
+	}
+	t.mu.Unlock()
 }
 
 // End closes the span, fixing its wall-clock duration. Ending twice
@@ -108,34 +208,64 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.end.IsZero() {
-		s.end = time.Now()
+	t := s.tr
+	end := t.now()
+	t.mu.Lock()
+	if !t.sealed && s.flags&flagEnded == 0 {
+		s.end = end
+		s.flags |= flagEnded
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // SetAttr records a key/value annotation, overwriting an existing key.
-func (s *Span) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
+func (s *Span) SetAttr(key, value string) { s.setAttr(key, value, notInt) }
 
 // SetInt records an integer annotation.
 func (s *Span) SetInt(key string, v int) {
-	if s != nil {
-		s.SetAttr(key, strconv.Itoa(v))
+	if int64(v) == notInt {
+		s.setAttr(key, strconv.Itoa(v), notInt)
+		return
 	}
+	s.setAttr(key, "", int64(v))
+}
+
+func (s *Span) setAttr(key, str string, num int64) {
+	if s == nil {
+		return
+	}
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return
+	}
+	for i, n := 0, s.numAttrs(); i < n; i++ {
+		if a := s.attrAt(i); a.key == key {
+			a.str, a.num = str, num
+			return
+		}
+	}
+	if s.ninline < inlineAttrs {
+		s.inline[s.ninline] = attr{key, str, num}
+		s.ninline++
+		return
+	}
+	if s.more == nil {
+		s.more = make([]attr, 0, overflowAttrs)
+	}
+	s.more = append(s.more, attr{key, str, num})
+}
+
+// numAttrs and attrAt address the inline room and the overflow slice as
+// one list. The tree's lock is held.
+func (s *Span) numAttrs() int { return int(s.ninline) + len(s.more) }
+
+func (s *Span) attrAt(i int) *attr {
+	if i < inlineAttrs {
+		return &s.inline[i]
+	}
+	return &s.more[i-inlineAttrs]
 }
 
 // SetVDur sets the span's virtual-clock (simulated) duration.
@@ -143,9 +273,12 @@ func (s *Span) SetVDur(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.vdur = d
-	s.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	if !t.sealed {
+		s.vdur = d
+	}
+	t.mu.Unlock()
 }
 
 // AddVDur accumulates virtual-clock duration onto the span.
@@ -153,9 +286,12 @@ func (s *Span) AddVDur(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.vdur += d
-	s.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	if !t.sealed {
+		s.vdur += d
+	}
+	t.mu.Unlock()
 }
 
 // VDur returns the span's virtual-clock duration.
@@ -163,8 +299,8 @@ func (s *Span) VDur() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
 	return s.vdur
 }
 
@@ -174,12 +310,24 @@ func (s *Span) WallDur() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return time.Since(s.start)
+	now := s.tr.now()
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.wall(now)
+}
+
+// wall is the span's wall-clock duration: up to its end, or for a span
+// never ended up to the seal, or on a live tree up to now. The tree's
+// lock is held.
+func (s *Span) wall(now time.Duration) time.Duration {
+	switch {
+	case s.flags&flagEnded != 0:
+		return s.end - s.start
+	case s.tr.sealed:
+		return s.tr.sealedAt - s.start
+	default:
+		return now - s.start
 	}
-	return s.end.Sub(s.start)
 }
 
 // Attrs returns a copy of the span's annotations in insertion order.
@@ -187,9 +335,18 @@ func (s *Span) Attrs() []Attr {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	n := s.numAttrs()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Attr, n)
+	for i := range out {
+		a := s.attrAt(i)
+		out[i] = Attr{Key: a.key, Value: a.value()}
+	}
+	return out
 }
 
 // Attr returns one annotation's value ("" when absent).
@@ -197,11 +354,11 @@ func (s *Span) Attr(key string) string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a.Value
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	for i, n := 0, s.numAttrs(); i < n; i++ {
+		if a := s.attrAt(i); a.key == key {
+			return a.value()
 		}
 	}
 	return ""
@@ -212,9 +369,13 @@ func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	var out []*Span
+	for c := s.first; c != nil; c = c.next {
+		out = append(out, c)
+	}
+	return out
 }
 
 // Find returns the first descendant (depth-first, including s) with the
@@ -223,11 +384,17 @@ func (s *Span) Find(name string) *Span {
 	if s == nil {
 		return nil
 	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.find(name)
+}
+
+func (s *Span) find(name string) *Span {
 	if s.Name == name {
 		return s
 	}
-	for _, c := range s.Children() {
-		if f := c.Find(name); f != nil {
+	for c := s.first; c != nil; c = c.next {
+		if f := c.find(name); f != nil {
 			return f
 		}
 	}

@@ -185,117 +185,3 @@ func containsFold(s, sub string) bool {
 	}
 	return false
 }
-
-// refBoundedJSON is boundedJSON as it was before the count-first fast
-// path and the one-lock conversion: an include set for every tree, the
-// child list copied on both walks, the span locked once per field.
-func refBoundedJSON(root *Span, budget int) (out *SpanJSON, kept int, truncated bool) {
-	if root == nil || budget < 1 {
-		return nil, 0, root != nil
-	}
-	include := map[*Span]bool{root: true}
-	kept = 1
-	queue := []*Span{root}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, c := range s.Children() {
-			if kept < budget {
-				include[c] = true
-				kept++
-				queue = append(queue, c)
-			} else {
-				truncated = true
-			}
-		}
-	}
-	var build func(s *Span) *SpanJSON
-	build = func(s *Span) *SpanJSON {
-		j := &SpanJSON{
-			Name:      s.Name,
-			Kind:      s.Kind,
-			WallMS:    float64(s.WallDur()) / float64(time.Millisecond),
-			VTimeSecs: s.VDur().Seconds(),
-			Open:      s.end.IsZero(),
-		}
-		if attrs := s.Attrs(); len(attrs) > 0 {
-			j.Attrs = make(map[string]string, len(attrs))
-			for _, a := range attrs {
-				j.Attrs[a.Key] = a.Value
-			}
-		}
-		for _, c := range s.Children() {
-			if include[c] {
-				j.Children = append(j.Children, build(c))
-			}
-		}
-		return j
-	}
-	return build(root), kept, truncated
-}
-
-// warmQueryTree has the shape a fully cached query retains: 45 ended
-// spans, a few attributes on each.
-func warmQueryTree() *Span {
-	root := tree(4, 10)
-	var annotate func(s *Span, depth int)
-	annotate = func(s *Span, depth int) {
-		s.SetInt("in_tokens", 170+depth)
-		s.SetInt("out_tokens", 3)
-		s.SetAttr("cached", "true")
-		s.SetVDur(time.Duration(depth) * time.Millisecond)
-		for _, c := range s.Children() {
-			annotate(c, depth+1)
-		}
-	}
-	annotate(root, 0)
-	return root
-}
-
-// TestBoundedJSONMatchesReference holds the retention pass to its
-// reference on both sides of the budget: the stored bytes are the same
-// whether the tree fits (the one-pass path) or is cut breadth-first.
-func TestBoundedJSONMatchesReference(t *testing.T) {
-	root := warmQueryTree()
-	n := root.size()
-	if n != 45 {
-		t.Fatalf("tree has %d spans, want 45", n)
-	}
-	for _, budget := range []int{1, 5, 6, n - 1, n, n + 1, DefaultMaxSpansPerTrace} {
-		got, kept, cut := boundedJSON(root, budget)
-		want, wantKept, wantCut := refBoundedJSON(root, budget)
-		if kept != wantKept || cut != wantCut {
-			t.Errorf("budget %d: kept %d truncated %v, reference %d %v", budget, kept, cut, wantKept, wantCut)
-		}
-		gb, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gb) != string(wb) {
-			t.Errorf("budget %d: stored JSON differs from the reference:\n got %s\nwant %s", budget, gb, wb)
-		}
-	}
-}
-
-// TestTraceStorePutAllocations pins what retaining a warm query's trace
-// costs: a SpanJSON, an attribute map and a child slice per span, and
-// nothing per tree — no include set, no queue, no copied child lists.
-// The reference conversion's count is logged beside it.
-func TestTraceStorePutAllocations(t *testing.T) {
-	root := warmQueryTree()
-	ts := NewTraceStore(4, 0)
-	seq := int64(0)
-	allocs := testing.AllocsPerRun(50, func() {
-		seq++
-		ts.Put("q", seq, "ok", "q", time.Second, 1, 1, root)
-	})
-	ref := testing.AllocsPerRun(50, func() { refBoundedJSON(root, DefaultMaxSpansPerTrace) })
-	t.Logf("TraceStore.Put of a 45-span tree: %v allocations (reference conversion alone: %v)", allocs, ref)
-	if allocs > 150 {
-		t.Errorf("TraceStore.Put allocates %v objects for a 45-span tree, want <= 150", allocs)
-	}
-}

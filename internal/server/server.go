@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -587,12 +588,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if v := q.Get("min_vtime_secs"); v != "" {
+		// ParseFloat accepts NaN, Inf and values past what a Duration
+		// holds; converting those is undefined and used to select every
+		// trace. The negated comparison rejects NaN.
 		secs, err := strconv.ParseFloat(v, 64)
-		if err != nil || secs < 0 {
+		ns := secs * float64(time.Second)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 			writeError(w, http.StatusBadRequest, s.nextRequestID(), "malformed min_vtime_secs: %q", v)
 			return
 		}
-		f.MinVTime = time.Duration(secs * float64(time.Second))
+		f.MinVTime = time.Duration(ns)
 	}
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)

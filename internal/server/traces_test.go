@@ -133,6 +133,56 @@ func TestTracesEndpointFilters(t *testing.T) {
 	}
 }
 
+// Regression: strconv.ParseFloat accepts NaN, Inf and 1e300, "secs < 0"
+// is false for all of them, and the float-to-Duration conversion of each
+// is math.MinInt64 on amd64 — so the filter kept every trace where +Inf
+// should keep none.
+func TestTracesEndpointMinVTimeBounds(t *testing.T) {
+	srv := testServer(t)
+	defer srv.Close()
+	post(t, srv.URL+"/v1/query", "How many questions are about tennis?")
+
+	for _, tc := range []struct {
+		value string
+		code  int
+		count int // when code is 200
+	}{
+		{"0", http.StatusOK, 1},
+		{"0.001", http.StatusOK, 1},
+		{"1e9", http.StatusOK, 0},
+		{"9e9", http.StatusOK, 0}, // 9e18 ns: the largest decade a Duration holds
+		{"NaN", http.StatusBadRequest, 0},
+		{"nan", http.StatusBadRequest, 0},
+		{"Inf", http.StatusBadRequest, 0},
+		{"%2BInf", http.StatusBadRequest, 0},
+		{"-Inf", http.StatusBadRequest, 0},
+		{"infinity", http.StatusBadRequest, 0},
+		{"1e10", http.StatusBadRequest, 0}, // 1e19 ns overflows int64
+		{"1e300", http.StatusBadRequest, 0},
+		{"9223372036.854775808", http.StatusBadRequest, 0}, // exactly 2^63 ns
+		{"-0.5", http.StatusBadRequest, 0},
+	} {
+		resp, raw := get(t, srv.URL+"/v1/traces?min_vtime_secs="+tc.value)
+		if resp.StatusCode != tc.code {
+			t.Errorf("min_vtime_secs=%s: status %d, want %d (%s)", tc.value, resp.StatusCode, tc.code, raw)
+			continue
+		}
+		if tc.code == http.StatusBadRequest {
+			if !strings.Contains(string(raw), "malformed min_vtime_secs") {
+				t.Errorf("min_vtime_secs=%s: error body %s", tc.value, raw)
+			}
+			continue
+		}
+		var list tracesBody
+		if err := json.Unmarshal(raw, &list); err != nil {
+			t.Fatal(err)
+		}
+		if list.Count != tc.count {
+			t.Errorf("min_vtime_secs=%s: %d traces, want %d", tc.value, list.Count, tc.count)
+		}
+	}
+}
+
 func TestProfileEndpointAttribution(t *testing.T) {
 	srv := testServer(t)
 	defer srv.Close()

@@ -10,7 +10,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -262,18 +261,81 @@ func unitLess(a, b pendingUnit) bool {
 	return a.job < b.job
 }
 
-type unitHeap []pendingUnit
+// minHeap is a binary heap ordered by less. push, pop and init sift
+// exactly as container/heap's up, down and Init do, so entries that
+// compare equal leave in the order they would leave a container/heap —
+// the grant order of a schedule depends on that order. Unlike
+// container/heap it moves no element through an interface, so a push or
+// a pop allocates nothing.
+type minHeap[T any] struct {
+	items []T
+	less  func(a, b T) bool
+}
 
-func (h unitHeap) Len() int            { return len(h) }
-func (h unitHeap) Less(i, j int) bool  { return unitLess(h[i], h[j]) }
-func (h unitHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *unitHeap) Push(x interface{}) { *h = append(*h, x.(pendingUnit)) }
-func (h *unitHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *minHeap[T]) push(x T) {
+	h.items = append(h.items, x)
+	a := h.items
+	for j := len(a) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(a[j], a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+func (h *minHeap[T]) pop() T {
+	a := h.items
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	h.down(0, n)
+	h.items = a[:n]
+	return a[n]
+}
+
+// init establishes the heap order over whatever items holds.
+func (h *minHeap[T]) init() {
+	n := len(h.items)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *minHeap[T]) down(i, n int) {
+	a := h.items
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(a[j2], a[j]) {
+			j = j2
+		}
+		if !h.less(a[j], a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+}
+
+func durLess(a, b time.Duration) bool { return a < b }
+
+// jobCount bounds the number of distinct jobs among tasks from above: the
+// span of their job numbers, or the task count when those are sparse.
+func jobCount(tasks []Task) int {
+	if len(tasks) == 0 {
+		return 0
+	}
+	lo, hi := tasks[0].Job, tasks[0].Job
+	for _, t := range tasks[1:] {
+		lo, hi = min(lo, t.Job), max(hi, t.Job)
+	}
+	if n := hi - lo + 1; n > 0 && n < len(tasks) {
+		return n
+	}
+	return len(tasks)
 }
 
 // Run schedules the task graph and returns its makespan. It returns an
@@ -309,25 +371,27 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 		remaining[i] = len(t.Units)
 	}
 
-	// Resource state: per resource, a min-heap of slot free times.
-	free := map[string]*durHeap{}
-	slotHeap := func(res string) *durHeap {
+	// Resource state: per resource, a min-heap of slot free times (all
+	// zero to begin with, which is a heap already).
+	free := make(map[string]*minHeap[time.Duration], len(s.Capacity))
+	slotHeap := func(res string) *minHeap[time.Duration] {
 		h, ok := free[res]
 		if !ok {
 			cap, limited := s.Capacity[res]
 			if !limited {
 				return nil // unlimited
 			}
-			hh := make(durHeap, cap)
-			h = &hh
-			heap.Init(h)
+			h = &minHeap[time.Duration]{items: make([]time.Duration, cap), less: durLess}
 			free[res] = h
 		}
 		return h
 	}
 
-	pend := &unitHeap{}
-	seqs := map[int]int{} // per-job FIFO sequence counters
+	// The result maps are sized up front: one entry per task, per job or
+	// per limited resource.
+	jobs := jobCount(tasks)
+	pend := &minHeap[pendingUnit]{less: unitLess}
+	seqs := make(map[int]int, jobs) // per-job FIFO sequence counters
 	enqueueTask := func(i int, at time.Duration) {
 		started[i] = true
 		taskReady[i] = at
@@ -336,32 +400,32 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 			return // completed immediately; handled by caller
 		}
 		if t.Sequential {
-			heap.Push(pend, pendingUnit{i, 0, at, t.Priority, seqs[t.Job], t.Job})
+			pend.push(pendingUnit{i, 0, at, t.Priority, seqs[t.Job], t.Job})
 			seqs[t.Job]++
 			nextUnit[i] = 0
 			return
 		}
 		for u := range t.Units {
-			heap.Push(pend, pendingUnit{i, u, at, t.Priority, seqs[t.Job], t.Job})
+			pend.push(pendingUnit{i, u, at, t.Priority, seqs[t.Job], t.Job})
 			seqs[t.Job]++
 		}
 	}
 
-	busy := map[string]time.Duration{}
+	busy := make(map[string]time.Duration, len(s.Capacity))
 	res := Result{
 		Finish:     make(map[string]time.Duration, len(tasks)),
 		Busy:       busy,
-		JobBusy:    map[int]time.Duration{},
-		JobWait:    map[int]time.Duration{},
-		JobGrants:  map[int]int{},
-		JobEnd:     map[int]time.Duration{},
-		TaskWait:   map[string]time.Duration{},
-		JobResBusy: map[int]map[string]time.Duration{},
+		JobBusy:    make(map[int]time.Duration, jobs),
+		JobWait:    make(map[int]time.Duration, jobs),
+		JobGrants:  make(map[int]int, jobs),
+		JobEnd:     make(map[int]time.Duration, jobs),
+		TaskWait:   make(map[string]time.Duration, len(tasks)),
+		JobResBusy: make(map[int]map[string]time.Duration, jobs),
 	}
 	jobResBusy := func(job int, resName string, d time.Duration) {
 		m := res.JobResBusy[job]
 		if m == nil {
-			m = map[string]time.Duration{}
+			m = make(map[string]time.Duration, len(s.Capacity))
 			res.JobResBusy[job] = m
 		}
 		m[resName] += d
@@ -416,15 +480,14 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 		total += len(tasks[i].Units)
 	}
 
-	for pend.Len() > 0 {
-		pu := heap.Pop(pend).(pendingUnit)
+	for len(pend.items) > 0 {
+		pu := pend.pop()
 		t := &tasks[pu.taskIdx]
 		u := t.Units[pu.unitIdx]
 		start := pu.ready
 		h := slotHeap(u.Resource)
 		if h != nil {
-			slotFree := heap.Pop(h).(time.Duration)
-			if slotFree > start {
+			if slotFree := h.pop(); slotFree > start {
 				start = slotFree
 			}
 		}
@@ -439,7 +502,7 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 
 		end := start + u.Dur
 		if h != nil {
-			heap.Push(h, end)
+			h.push(end)
 			busy[u.Resource] += u.Dur
 			res.JobBusy[t.Job] += u.Dur
 			jobResBusy(t.Job, u.Resource, u.Dur)
@@ -450,7 +513,7 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 		scheduled++
 		remaining[pu.taskIdx]--
 		if t.Sequential && pu.unitIdx+1 < len(t.Units) {
-			heap.Push(pend, pendingUnit{pu.taskIdx, pu.unitIdx + 1, end, t.Priority, seqs[t.Job], t.Job})
+			pend.push(pendingUnit{pu.taskIdx, pu.unitIdx + 1, end, t.Priority, seqs[t.Job], t.Job})
 			seqs[t.Job]++
 		}
 		if end > finish[pu.taskIdx] {
@@ -472,9 +535,9 @@ func (s *Schedule) Run(tasks []Task) (Result, error) {
 		sort.Strings(stuck)
 		return Result{}, fmt.Errorf("vtime: dependency cycle involving %v", stuck)
 	}
-	res.SlotFree = map[string][]time.Duration{}
+	res.SlotFree = make(map[string][]time.Duration, len(free))
 	for name, h := range free {
-		times := append([]time.Duration(nil), (*h)...)
+		times := append([]time.Duration(nil), h.items...)
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 		res.SlotFree[name] = times
 	}
@@ -529,8 +592,8 @@ func payloadCommit(groups map[string]time.Duration, sp *BatchSpec) {
 // only if it strictly shrinks total busy time versus running solo, and
 // only while the batch duration respects the fairness cap.
 func (s *Schedule) grantBatch(
-	pu pendingUnit, u Unit, grantAt time.Duration, h *durHeap,
-	pend *unitHeap, tasks []Task, seqs map[int]int,
+	pu pendingUnit, u Unit, grantAt time.Duration, h *minHeap[time.Duration],
+	pend *minHeap[pendingUnit], tasks []Task, seqs map[int]int,
 	remaining []int, finish []time.Duration,
 	busy map[string]time.Duration, res *Result,
 	jobResBusy func(int, string, time.Duration),
@@ -561,7 +624,7 @@ func (s *Schedule) grantBatch(
 	if maxMembers > 1 {
 		windowEnd := grantAt + p.Window
 		var cands []pendingUnit
-		for _, c := range *pend {
+		for _, c := range pend.items {
 			cu := tasks[c.taskIdx].Units[c.unitIdx]
 			if cu.Batch == nil || cu.Batch.Key != u.Batch.Key || cu.Resource != u.Resource {
 				continue
@@ -606,14 +669,14 @@ func (s *Schedule) grantBatch(
 			taken[[2]int{c.taskIdx, c.unitIdx}] = true
 		}
 		if len(taken) > 0 {
-			kept := (*pend)[:0]
-			for _, c := range *pend {
+			kept := pend.items[:0]
+			for _, c := range pend.items {
 				if !taken[[2]int{c.taskIdx, c.unitIdx}] {
 					kept = append(kept, c)
 				}
 			}
-			*pend = kept
-			heap.Init(pend)
+			pend.items = kept
+			pend.init()
 		}
 	}
 
@@ -632,7 +695,7 @@ func (s *Schedule) grantBatch(
 		D = u.Dur
 	}
 	end := bstart + D
-	heap.Push(h, end)
+	h.push(end)
 	busy[u.Resource] += D
 
 	// Attribute the invocation to members by solo-duration-weighted
@@ -667,7 +730,7 @@ func (s *Schedule) grantBatch(
 		*scheduled++
 		remaining[m.pu.taskIdx]--
 		if mt.Sequential && m.pu.unitIdx+1 < len(mt.Units) {
-			heap.Push(pend, pendingUnit{m.pu.taskIdx, m.pu.unitIdx + 1, end, mt.Priority, seqs[mt.Job], mt.Job})
+			pend.push(pendingUnit{m.pu.taskIdx, m.pu.unitIdx + 1, end, mt.Priority, seqs[mt.Job], mt.Job})
 			seqs[mt.Job]++
 		}
 		if end > finish[m.pu.taskIdx] {
@@ -678,21 +741,6 @@ func (s *Schedule) grantBatch(
 		}
 	}
 	res.Batches = append(res.Batches, grant)
-}
-
-// durHeap is a min-heap of slot-free times.
-type durHeap []time.Duration
-
-func (h durHeap) Len() int            { return len(h) }
-func (h durHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h durHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *durHeap) Push(x interface{}) { *h = append(*h, x.(time.Duration)) }
-func (h *durHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Serial returns the makespan if every unit ran back-to-back on a single
