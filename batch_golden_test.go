@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -26,8 +25,8 @@ func seedBatchTasks() []vtime.Task {
 		base := 80 * time.Millisecond
 		tmpl := 30 * time.Millisecond
 		return vtime.Unit{
-			Dur:      base + tmpl + payload + decode,
-			Resource: vtime.ResourceLLM,
+			Dur:  base + tmpl + payload + decode,
+			Pool: vtime.OnMachine(0),
 			Batch: &vtime.BatchSpec{
 				Key: key, Base: base, Decode: decode,
 				TemplatePrefill: tmpl, PayloadPrefill: payload,
@@ -44,7 +43,7 @@ func seedBatchTasks() []vtime.Task {
 			}
 			units[i] = mk(key, pk, payload, decode)
 		}
-		return vtime.Task{ID: id, Job: job, Units: units, Sequential: true}
+		return vtime.Task{Label: id, Job: job, Units: units, Sequential: true}
 	}
 	fkey := "filter|sim-llama-8b|condition,docs"
 	ckey := "classify|sim-llama-8b|classes,docs"
@@ -65,23 +64,19 @@ func seedBatchTasks() []vtime.Task {
 
 // formatBatchReplay renders a batched schedule result in the golden
 // format: one G line per grant (in grant order), one M line per member
-// (leader first), one J line per job (sorted), all virtual times in
-// nanoseconds so the file is bit-exact.
-func formatBatchReplay(res vtime.Result) string {
+// (leader first), one J line per job, all virtual times in nanoseconds so
+// the file is bit-exact. The golden predates numbered tasks and machines:
+// a member is rendered by its task's label and the one machine as "llm".
+func formatBatchReplay(tasks []vtime.Task, res vtime.Result) string {
 	var b strings.Builder
 	for i, g := range res.Batches {
-		fmt.Fprintf(&b, "G\t%d\t%s\t%s\t%d\t%d\t%d\n", i, g.Resource, g.Key, g.GrantAt, g.Start, g.Dur)
+		fmt.Fprintf(&b, "G\t%d\tllm\t%s\t%d\t%d\t%d\n", i, g.Key, g.GrantAt, g.Start, g.Dur)
 		for _, m := range g.Members {
-			fmt.Fprintf(&b, "M\t%d\t%s\t%d\t%d\t%d\t%d\t%d\n", i, m.Task, m.Job, m.Ready, m.Wait, m.Solo, m.Share)
+			fmt.Fprintf(&b, "M\t%d\t%s\t%d\t%d\t%d\t%d\t%d\n", i, tasks[m.Task].Label, m.Job, m.Ready, m.Wait, m.Solo, m.Share)
 		}
 	}
-	jobs := make([]int, 0, len(res.JobEnd))
-	for j := range res.JobEnd {
-		jobs = append(jobs, j)
-	}
-	sort.Ints(jobs)
-	for _, j := range jobs {
-		fmt.Fprintf(&b, "J\t%d\t%d\t%d\t%d\t%d\n", j, res.JobEnd[j], res.JobBusy[j], res.JobWait[j], res.JobGrants[j])
+	for j, job := range res.Jobs {
+		fmt.Fprintf(&b, "J\t%d\t%d\t%d\t%d\t%d\n", j, job.End, job.Busy, job.Wait, job.Grants)
 	}
 	return b.String()
 }
@@ -98,11 +93,12 @@ func TestBatchReplayGolden(t *testing.T) {
 		FairnessCap: DefaultBatchFairnessCap,
 		MaxBatch:    DefaultMaxBatch,
 	}
-	res, err := s.Run(seedBatchTasks())
+	tasks := seedBatchTasks()
+	res, err := s.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := formatBatchReplay(res)
+	got := formatBatchReplay(tasks, res)
 
 	multi := 0
 	for _, g := range res.Batches {
@@ -139,7 +135,7 @@ func TestBatchReplayGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := formatBatchReplay(res2); again != got {
+	if again := formatBatchReplay(tasks, res2); again != got {
 		t.Errorf("batched schedule not replay-stable:\n%s\nvs\n%s", got, again)
 	}
 

@@ -65,10 +65,9 @@ func (b *LLMPlan) Run(ctx context.Context, query string) (Result, error) {
 
 	vars := map[string]values.Value{}
 	var tasks []vtime.Task
-	prevTask := ""
 	totalCalls := len(planRec.Calls())
 	var final values.Value
-	for i, st := range steps {
+	for _, st := range steps {
 		rec := llm.NewRecorder(b.Client)
 		env := &ops.Env{Store: b.Store, Client: rec, BatchSize: b.Batch}
 		inputs := b.resolveInputs(st, vars)
@@ -83,18 +82,16 @@ func (b *LLMPlan) Run(ctx context.Context, query string) (Result, error) {
 		totalCalls += len(calls)
 		var units []vtime.Unit
 		for _, c := range calls {
-			units = append(units, vtime.Unit{Dur: c.Dur, Resource: vtime.ResourceLLM})
+			units = append(units, vtime.Unit{Dur: c.Dur, Pool: vtime.OnMachine(0)})
 		}
 		if len(units) == 0 {
 			units = []vtime.Unit{{Dur: time.Millisecond}}
 		}
-		id := fmt.Sprintf("s%d", i)
-		var deps []string
-		if prevTask != "" {
-			deps = []string{prevTask} // strictly sequential plan
+		var deps []int
+		if len(tasks) > 0 {
+			deps = []int{len(tasks) - 1} // strictly sequential plan
 		}
-		tasks = append(tasks, vtime.Task{ID: id, Deps: deps, Units: units})
-		prevTask = id
+		tasks = append(tasks, vtime.Task{Deps: deps, Units: units})
 	}
 	sched, err := vtime.NewSchedule(b.Slots).Run(tasks)
 	if err != nil {

@@ -449,62 +449,54 @@ func VTimeCluster(res vtime.Result, machines, slots int) []Violation {
 	if slots < 1 {
 		slots = 1
 	}
-	var jobBusy time.Duration
-	var maxEnd time.Duration
-	for job, b := range res.JobBusy {
-		if b < 0 {
-			violatef(&vs, InvVTimeConservation, "job %d has negative busy %v", job, b)
+	var jobBusy, jobWait, taskWait, maxEnd time.Duration
+	for job, j := range res.Jobs {
+		if j.Busy < 0 {
+			violatef(&vs, InvVTimeConservation, "job %d has negative busy %v", job, j.Busy)
 		}
-		jobBusy += b
-	}
-	for job, w := range res.JobWait {
-		if w < 0 {
-			violatef(&vs, InvVTimeConservation, "job %d has negative grant wait %v", job, w)
+		if j.Wait < 0 {
+			violatef(&vs, InvVTimeConservation, "job %d has negative grant wait %v", job, j.Wait)
+		}
+		jobBusy += j.Busy
+		jobWait += j.Wait
+		if j.End > res.Makespan {
+			violatef(&vs, InvVTimeConservation, "job %d ends at %v after makespan %v", job, j.End, res.Makespan)
+		}
+		maxEnd = max(maxEnd, j.End)
+		if j.Busy > j.End*time.Duration(slots*machines) {
+			violatef(&vs, InvVTimeConservation,
+				"job %d busy %v exceeds its end %v x %d cluster slots", job, j.Busy, j.End, slots*machines)
 		}
 	}
-	var taskWait, jobWait time.Duration
-	for id, w := range res.TaskWait {
+	for i, w := range res.TaskWait {
 		if w < 0 {
-			violatef(&vs, InvVTimeConservation, "task %q has negative grant wait %v", id, w)
+			violatef(&vs, InvVTimeConservation, "task %d has negative grant wait %v", i, w)
 		}
 		taskWait += w
-	}
-	for _, w := range res.JobWait {
-		jobWait += w
 	}
 	if taskWait != jobWait {
 		violatef(&vs, InvVTimeConservation, "per-task grant waits sum to %v but per-job waits sum to %v", taskWait, jobWait)
 	}
-	for job, end := range res.JobEnd {
-		if end > res.Makespan {
-			violatef(&vs, InvVTimeConservation, "job %d ends at %v after makespan %v", job, end, res.Makespan)
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-		if b := res.JobBusy[job]; b > end*time.Duration(slots*machines) {
-			violatef(&vs, InvVTimeConservation,
-				"job %d busy %v exceeds its end %v x %d cluster slots", job, b, end, slots*machines)
-		}
-	}
-	if len(res.JobEnd) > 0 && maxEnd != res.Makespan {
+	if len(res.Jobs) > 0 && maxEnd != res.Makespan {
 		violatef(&vs, InvVTimeConservation, "max job end %v != makespan %v", maxEnd, res.Makespan)
 	}
+	if len(res.Busy) != machines || len(res.SlotFree) != machines {
+		violatef(&vs, InvVTimeSlotBound, "busy for %d machines and slot free times for %d on a %d-machine cluster", len(res.Busy), len(res.SlotFree), machines)
+		return vs
+	}
 	var busy time.Duration
-	for m := 0; m < machines; m++ {
-		mbusy := res.Busy[vtime.MachineResource(m)]
+	for m, mbusy := range res.Busy {
 		busy += mbusy
 		if mbusy > res.Makespan*time.Duration(slots) {
 			violatef(&vs, InvVTimeSlotBound, "machine %d busy %v exceeds makespan %v x %d slots", m, mbusy, res.Makespan, slots)
 		}
-		if frees, ok := res.SlotFree[vtime.MachineResource(m)]; ok {
-			if len(frees) != slots {
-				violatef(&vs, InvVTimeSlotBound, "machine %d has %d slot free times for %d slots", m, len(frees), slots)
-			}
-			for i, f := range frees {
-				if f < 0 || f > res.Makespan {
-					violatef(&vs, InvVTimeSlotBound, "machine %d slot %d frees at %v outside [0, %v]", m, i, f, res.Makespan)
-				}
+		frees := res.SlotFree[m]
+		if len(frees) != slots {
+			violatef(&vs, InvVTimeSlotBound, "machine %d has %d slot free times for %d slots", m, len(frees), slots)
+		}
+		for i, f := range frees {
+			if f < 0 || f > res.Makespan {
+				violatef(&vs, InvVTimeSlotBound, "machine %d slot %d frees at %v outside [0, %v]", m, i, f, res.Makespan)
 			}
 		}
 	}
@@ -597,7 +589,7 @@ func BatchFairness(res vtime.Result, p *vtime.BatchPolicy) []Violation {
 			}
 			jobs[m.Job] = true
 			if m.Wait != g.Start-m.Ready || m.Wait < 0 {
-				violatef(&vs, InvBatchFairness, "batch %d member %q wait %v != start %v - ready %v", i, m.Task, m.Wait, g.Start, m.Ready)
+				violatef(&vs, InvBatchFairness, "batch %d member task %d wait %v != start %v - ready %v", i, m.Task, m.Wait, g.Start, m.Ready)
 			}
 			shares += m.Share
 		}

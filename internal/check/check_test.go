@@ -178,9 +178,9 @@ func TestAnswerViolations(t *testing.T) {
 
 func TestVTimeCleanOnRealSchedule(t *testing.T) {
 	tasks := []vtime.Task{
-		{ID: "a", Job: 0, Units: []vtime.Unit{{Dur: time.Second, Resource: vtime.ResourceLLM}, {Dur: time.Second, Resource: vtime.ResourceLLM}}},
-		{ID: "b", Job: 1, Units: []vtime.Unit{{Dur: 3 * time.Second, Resource: vtime.ResourceLLM}}},
-		{ID: "c", Job: 1, Deps: []string{"b"}, Units: []vtime.Unit{{Dur: time.Second}}},
+		{Label: "a", Job: 0, Units: []vtime.Unit{{Dur: time.Second, Pool: vtime.OnMachine(0)}, {Dur: time.Second, Pool: vtime.OnMachine(0)}}},
+		{Label: "b", Job: 1, Units: []vtime.Unit{{Dur: 3 * time.Second, Pool: vtime.OnMachine(0)}}},
+		{Label: "c", Job: 1, Deps: []int{1}, Units: []vtime.Unit{{Dur: time.Second}}},
 	}
 	res, err := vtime.NewSchedule(2).Run(tasks)
 	if err != nil {
@@ -193,19 +193,19 @@ func TestVTimeCleanOnRealSchedule(t *testing.T) {
 
 func TestVTimeConservationViolations(t *testing.T) {
 	tasks := []vtime.Task{
-		{ID: "a", Job: 0, Units: []vtime.Unit{{Dur: time.Second, Resource: vtime.ResourceLLM}}},
+		{Label: "a", Job: 0, Units: []vtime.Unit{{Dur: time.Second, Pool: vtime.OnMachine(0)}}},
 	}
 	res, err := vtime.NewSchedule(2).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	broken := res
-	broken.JobBusy = map[int]time.Duration{0: 5 * time.Second} // != Busy[llm]
+	broken.Jobs = []vtime.JobStats{{Busy: 5 * time.Second, End: res.Makespan}} // != Busy[0]
 	if vs := VTime(broken, 2); !hasViolation(vs, InvVTimeConservation) {
 		t.Fatalf("busy conservation break not flagged: %v", vs)
 	}
 	over := res
-	over.Busy = map[string]time.Duration{vtime.ResourceLLM: time.Hour}
+	over.Busy = []time.Duration{time.Hour}
 	if vs := VTime(over, 2); !hasViolation(vs, InvVTimeSlotBound) {
 		t.Fatalf("slot capacity break not flagged: %v", vs)
 	}
@@ -219,11 +219,11 @@ func TestBatchFairnessViolations(t *testing.T) {
 	pol := &vtime.BatchPolicy{Window: 100 * time.Millisecond, FairnessCap: 2 * time.Second, MaxBatch: 4}
 	good := func() vtime.Result {
 		return vtime.Result{Batches: []vtime.BatchGrant{{
-			Resource: vtime.ResourceLLM, Key: "k",
+			Machine: 0, Key: "k",
 			GrantAt: 0, Start: 50 * time.Millisecond, Dur: 900 * time.Millisecond,
 			Members: []vtime.BatchMember{
-				{Task: "a", Job: 0, Ready: 0, Wait: 50 * time.Millisecond, Solo: 700 * time.Millisecond, Share: 500 * time.Millisecond},
-				{Task: "b", Job: 1, Ready: 50 * time.Millisecond, Wait: 0, Solo: 600 * time.Millisecond, Share: 400 * time.Millisecond},
+				{Task: 0, Job: 0, Ready: 0, Wait: 50 * time.Millisecond, Solo: 700 * time.Millisecond, Share: 500 * time.Millisecond},
+				{Task: 1, Job: 1, Ready: 50 * time.Millisecond, Wait: 0, Solo: 600 * time.Millisecond, Share: 400 * time.Millisecond},
 			},
 		}}}
 	}
@@ -285,10 +285,10 @@ func TestBatchFairnessCleanOnRealSchedule(t *testing.T) {
 	var tasks []vtime.Task
 	for j := 0; j < 5; j++ {
 		tasks = append(tasks, vtime.Task{
-			ID: string(rune('a' + j)), Job: j, Sequential: true,
+			Label: string(rune('a' + j)), Job: j, Sequential: true,
 			Units: []vtime.Unit{
-				{Dur: 410 * time.Millisecond, Resource: vtime.ResourceLLM, Batch: spec()},
-				{Dur: 410 * time.Millisecond, Resource: vtime.ResourceLLM, Batch: spec()},
+				{Dur: 410 * time.Millisecond, Pool: vtime.OnMachine(0), Batch: spec()},
+				{Dur: 410 * time.Millisecond, Pool: vtime.OnMachine(0), Batch: spec()},
 			},
 		})
 	}

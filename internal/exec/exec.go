@@ -29,13 +29,6 @@ import (
 	"unify/internal/vtime"
 )
 
-// sequentialPhys marks implementations whose LLM calls form a dependent
-// chain and cannot be parallelized across slots.
-var sequentialPhys = map[string]bool{
-	"SemanticArgMax": true,
-	"SemanticArgMin": true,
-}
-
 // Replanner re-optimizes a partially executed plan's suffix given the
 // observed signatures of already-produced variables (paper §V: dynamic
 // replanning on execution feedback). The returned duration is the
@@ -106,15 +99,14 @@ type Executor struct {
 
 // NodeResult captures one operator execution.
 type NodeResult struct {
-	NodeID     int
-	Op         string
-	Phys       string
-	Value      values.Value
-	Calls      []llm.Call
-	PreDur     time.Duration
-	InCard     int
-	Sequential bool
-	Adjusted   bool // a fallback physical implementation was used
+	NodeID   int
+	Op       string
+	Phys     string
+	Value    values.Value
+	Calls    []llm.Call
+	PreDur   time.Duration
+	InCard   int
+	Adjusted bool // a fallback physical implementation was used
 	// SkippedDocs counts documents dropped by the node's error budget
 	// (graceful degradation under LLM failures).
 	SkippedDocs int
@@ -306,25 +298,30 @@ func (e *Executor) Run(ctx context.Context, plan *core.Plan) (*Result, error) {
 		return nil, fmt.Errorf("exec: plan root variable %s missing", root.OutVar)
 	}
 	res.Answer = ans
+	if err := e.replay(ctx, plan, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
-	// Submit the recorded work to the shared slot pool: the makespan
-	// reflects slot grants actually received against concurrent queries.
-	// A query admitted upstream carries its ticket in the context; an
-	// unticketed caller gets a self-contained admit/release. The ticket
-	// resolves before the task graph is built: its home machine places
-	// the query's unscattered work.
+// replay submits the recorded work to the shared slot pool and fills in
+// res's timing: the makespan reflects slot grants actually received
+// against concurrent queries. A query admitted upstream carries its ticket
+// in the context; an unticketed caller gets a self-contained
+// admit/release. The ticket resolves before the task graph is built: its
+// home machine places the query's unscattered work.
+func (e *Executor) replay(ctx context.Context, plan *core.Plan, res *Result) error {
 	pool := e.Pool
 	tk := sched.TicketFrom(ctx)
 	if pool == nil {
-		private := sched.NewCluster(e.clusterWidth(), e.slots())
-		private.Batching = e.Batching
-		pool, tk = private.Pool, nil
+		pool, tk = sched.NewCluster(e.clusterWidth(), e.slots()), nil
+		pool.Batching = e.Batching
 	}
 	owned := tk == nil
 	if owned {
 		tk = pool.Admit(0)
 	}
-	tasks := e.tasks(plan, res.Nodes, tk.Machine(), pool.Machines())
+	tasks, taskOf := e.tasks(plan, res.Nodes, tk.Machine(), pool.Machines())
 	jr, err := pool.Run(ctx, tk, tasks)
 	if errors.Is(err, sched.ErrTicketUsed) {
 		// The query's ticket was consumed by an earlier execution (the
@@ -332,42 +329,36 @@ func (e *Executor) Run(ctx context.Context, plan *core.Plan) (*Result, error) {
 		// rebuilding the graph against the fresh ticket's home machine.
 		tk = pool.Admit(tk.Priority)
 		owned = true
-		tasks = e.tasks(plan, res.Nodes, tk.Machine(), pool.Machines())
+		tasks, taskOf = e.tasks(plan, res.Nodes, tk.Machine(), pool.Machines())
 		jr, err = pool.Run(ctx, tk, tasks)
 	}
 	if owned {
 		pool.Release(tk)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res.Makespan = jr.Makespan + replanDur
+	res.Makespan = jr.Makespan + res.ReplanDur
 	res.SlotBusy = jr.Busy
 	res.GrantWait = jr.GrantWait
-	res.SoloMakespan = jr.Solo + replanDur
+	res.SoloMakespan = jr.Solo + res.ReplanDur
 	res.PoolStart = jr.Start
 	res.Contended = jr.Contended
 	res.BatchedCalls = jr.BatchedUnits
 	for i := range res.Nodes {
 		nr := &res.Nodes[i]
-		tid := fmt.Sprintf("n%d", nr.NodeID)
-		if f, ok := jr.Finish[tid]; ok {
-			nr.Span.SetAttr("finish_vtime", f.Round(time.Millisecond).String())
-		}
-		if w, ok := jr.TaskWait[tid]; ok && w > 0 {
+		ti := taskOf[nr.NodeID]
+		nr.Span.SetAttr("finish_vtime", jr.Finish[ti].Round(time.Millisecond).String())
+		if w := jr.TaskWait[ti]; w > 0 {
 			nr.GrantWait = w
 			nr.Span.SetAttr("grant_wait", w.Round(time.Millisecond).String())
 		}
-		if b := jr.TaskBatched[tid]; b > 0 {
-			nr.Span.SetInt("batched_calls", b)
+		if jr.TaskBatched != nil && jr.TaskBatched[ti] > 0 {
+			nr.Span.SetInt("batched_calls", jr.TaskBatched[ti])
 		}
 	}
-	ser, err := vtime.NewCluster(pool.Machines(), e.slots()).SerialOperators(tasks)
-	if err != nil {
-		return nil, err
-	}
-	res.Serial = ser + replanDur
-	return res, nil
+	res.Serial = vtime.Serial(tasks) + res.ReplanDur
+	return nil
 }
 
 // clusterWidth is the machine count the executor scatters over (1
@@ -648,7 +639,6 @@ func (e *Executor) runNode(ctx context.Context, plan *core.Plan, n *core.Node, i
 			Value:       v,
 			Calls:       rec.Calls(),
 			InCard:      inCard,
-			Sequential:  sequentialPhys[phys.Name],
 			Adjusted:    i > 0,
 			SkippedDocs: fb.Skipped(),
 			ViewHits:    env.ViewHits(),
@@ -769,83 +759,71 @@ func (e *Executor) batchSpec(c llm.Call) *vtime.BatchSpec {
 	}
 }
 
-// tasks converts observed node executions into the vtime task graph.
+// tasks converts observed node executions into the vtime task graph and
+// reports which task each plan node's own work is, by node id.
 // Unscattered operators run on the query's home machine; a scattered
 // node expands into one task per shard (shard s on machine s's slots)
-// plus a merge task on the home machine gated on every shard.
-func (e *Executor) tasks(plan *core.Plan, nodes []NodeResult, home, machines int) []vtime.Task {
+// followed by its own task, the merge on the home machine gated on every
+// shard.
+func (e *Executor) tasks(plan *core.Plan, nodes []NodeResult, home, machines int) ([]vtime.Task, map[int]int) {
 	if machines < 1 {
 		machines = 1
 	}
-	homeRes := vtime.MachineResource(home % machines)
-	byID := map[int]NodeResult{}
-	for _, nr := range nodes {
-		byID[nr.NodeID] = nr
+	homePool := vtime.OnMachine(home % machines)
+	byID := make(map[int]*NodeResult, len(nodes))
+	for i := range nodes {
+		byID[nodes[i].NodeID] = &nodes[i]
 	}
-	var tasks []vtime.Task
-	for _, n := range plan.Nodes {
-		nr := byID[n.ID]
-		deps := make([]string, len(n.Deps))
-		for i, d := range n.Deps {
-			deps[i] = fmt.Sprintf("n%d", d)
-		}
-		if len(nr.ShardCalls) > 0 {
-			// Scatter: each shard's call stream is its own sequential task
-			// on the shard's machine; the merge joins them back on the home
-			// machine (its calls are the combine overhead the optimizer
-			// costed).
-			shardIDs := make([]string, 0, len(nr.ShardCalls))
-			for s, calls := range nr.ShardCalls {
-				var su []vtime.Unit
-				for _, c := range calls {
-					if c.Cached {
-						continue
-					}
-					su = append(su, vtime.Unit{Dur: c.Dur, Resource: vtime.MachineResource(s % machines), Batch: e.batchSpec(c)})
-				}
-				id := fmt.Sprintf("n%d.s%d", n.ID, s)
-				shardIDs = append(shardIDs, id)
-				tasks = append(tasks, vtime.Task{ID: id, Deps: deps, Units: su, Sequential: true})
-			}
-			var mu []vtime.Unit
-			for _, c := range nr.MergeCalls {
-				if c.Cached {
-					continue
-				}
-				mu = append(mu, vtime.Unit{Dur: c.Dur, Resource: homeRes})
-			}
-			if nr.PreDur > 0 || len(mu) == 0 {
-				mu = append(mu, vtime.Unit{Dur: nr.PreDur})
-			}
-			tasks = append(tasks, vtime.Task{
-				ID:         fmt.Sprintf("n%d", n.ID),
-				Deps:       shardIDs,
-				Units:      mu,
-				Sequential: true,
-			})
-			continue
-		}
+	taskOf := make(map[int]int, len(plan.Nodes))
+	n := 0
+	for _, node := range plan.Nodes {
+		n += len(byID[node.ID].ShardCalls)
+		taskOf[node.ID] = n
+		n++
+	}
+	tasks := make([]vtime.Task, 0, n)
+	// An operator executes on a single model instance: its calls form a
+	// sequential stream (the paper parallelizes ACROSS its 4 Llama
+	// instances, one operator per instance). Cache-served calls bypass the
+	// slot pool entirely: no unit, no makespan or SlotBusy contribution.
+	stream := func(deps []int, calls []llm.Call, pool vtime.Pool, batchable bool) vtime.Task {
 		var units []vtime.Unit
-		for _, c := range nr.Calls {
+		for _, c := range calls {
 			if c.Cached {
-				// Cache-served calls bypass the slot pool entirely: no
-				// unit, no makespan or SlotBusy contribution.
 				continue
 			}
-			units = append(units, vtime.Unit{Dur: c.Dur, Resource: homeRes, Batch: e.batchSpec(c)})
+			u := vtime.Unit{Dur: c.Dur, Pool: pool}
+			if batchable {
+				u.Batch = e.batchSpec(c)
+			}
+			units = append(units, u)
 		}
-		if nr.PreDur > 0 || len(units) == 0 {
-			units = append(units, vtime.Unit{Dur: nr.PreDur})
-		}
-		// An operator executes on a single model instance: its calls
-		// form a sequential stream (the paper parallelizes ACROSS its 4
-		// Llama instances, one operator per instance).
-		tasks = append(tasks, vtime.Task{
-			ID:         fmt.Sprintf("n%d", n.ID),
-			Deps:       deps,
-			Units:      units,
-			Sequential: true,
-		})
+		return vtime.Task{Deps: deps, Units: units, Sequential: true}
 	}
-	return tasks
+	for _, node := range plan.Nodes {
+		nr := byID[node.ID]
+		deps := make([]int, len(node.Deps))
+		for i, d := range node.Deps {
+			deps[i] = taskOf[d]
+		}
+		var own vtime.Task
+		if len(nr.ShardCalls) > 0 {
+			// Scatter: each shard's call stream is its own task on the
+			// shard's machine; the merge joins them back (its calls are the
+			// combine overhead the optimizer costed).
+			shards := make([]int, len(nr.ShardCalls))
+			for s, calls := range nr.ShardCalls {
+				shards[s] = len(tasks)
+				tasks = append(tasks, stream(deps, calls, vtime.OnMachine(s%machines), true))
+			}
+			own = stream(shards, nr.MergeCalls, homePool, false)
+		} else {
+			own = stream(deps, nr.Calls, homePool, true)
+		}
+		if nr.PreDur > 0 || len(own.Units) == 0 {
+			own.Units = append(own.Units, vtime.Unit{Dur: nr.PreDur})
+		}
+		tasks = append(tasks, own)
+	}
+	return tasks, taskOf
 }

@@ -16,7 +16,9 @@ import (
 	"unify/internal/llm"
 	"unify/internal/obs"
 	"unify/internal/ops"
+	"unify/internal/sched"
 	"unify/internal/values"
+	"unify/internal/vtime"
 )
 
 func setup(t *testing.T, n int) (*Executor, *corpus.Dataset) {
@@ -270,11 +272,8 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSequentialPhysicalSerialized: SemanticArgMax's comparison chain
-// cannot parallelize, so its calls extend the makespan linearly.
-func TestSequentialPhysicalSerialized(t *testing.T) {
-	e, _ := setup(t, 150)
-	plan := &core.Plan{Query: "argmax", Nodes: []*core.Node{
+func argmaxPlan() *core.Plan {
+	return &core.Plan{Query: "argmax", Nodes: []*core.Node{
 		{ID: 0, Op: "GroupBy", Phys: "SemanticGroupBy",
 			Args:   ops.Args{"Entity": "questions", "Attribute": "sport"},
 			Inputs: []string{"dataset"}, OutVar: "v1"},
@@ -283,7 +282,13 @@ func TestSequentialPhysicalSerialized(t *testing.T) {
 		{ID: 2, Op: "Max", Phys: "SemanticArgMax", Args: ops.Args{"Entity": "{v2}"},
 			Inputs: []string{"{v2}"}, OutVar: "v3", Deps: []int{1}},
 	}}
-	res, err := e.Run(context.Background(), plan)
+}
+
+// TestSequentialPhysicalSerialized: SemanticArgMax's comparison chain
+// cannot parallelize, so its calls extend the makespan linearly.
+func TestSequentialPhysicalSerialized(t *testing.T) {
+	e, _ := setup(t, 150)
+	res, err := e.Run(context.Background(), argmaxPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +301,51 @@ func TestSequentialPhysicalSerialized(t *testing.T) {
 			argmax = nr
 		}
 	}
-	if !argmax.Sequential {
-		t.Error("SemanticArgMax not marked sequential")
-	}
 	if len(argmax.Calls) == 0 {
 		t.Error("argmax issued no comparison calls")
+	}
+}
+
+// TestReplayRunsVTimeOnce: an uncontended execution is replayed through
+// the virtual clock once. What replay allocates beyond building the task
+// graph and one round trip through a private pool — which makes one vtime
+// run (sched's TestLoneJobAllocations) — is less than a second vtime run
+// over the same graph would cost; the serial latency is a sum, not a
+// second schedule.
+func TestReplayRunsVTimeOnce(t *testing.T) {
+	e, _ := setup(t, 150)
+	ctx, plan := context.Background(), argmaxPlan()
+	res, err := e.Run(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, _ := e.tasks(plan, res.Nodes, 0, 1)
+	if want := vtime.Serial(tasks); res.Serial != want || res.Serial < res.Makespan {
+		t.Errorf("serial %v, want the sum of the units %v, no less than the makespan %v", res.Serial, want, res.Makespan)
+	}
+	allocs := func(f func()) float64 { return testing.AllocsPerRun(50, f) }
+	replay := allocs(func() {
+		if err := e.replay(ctx, plan, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	build := allocs(func() { e.tasks(plan, res.Nodes, 0, 1) })
+	roundTrip := allocs(func() {
+		p := sched.NewPool(e.slots())
+		tk := p.Admit(0)
+		if _, err := p.Run(ctx, tk, tasks); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(tk)
+	})
+	oneRun := allocs(func() {
+		if _, err := vtime.NewSchedule(e.slots()).Run(tasks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("replay %v = build %v + pool round trip %v + %v; one vtime run is %v", replay, build, roundTrip, replay-build-roundTrip, oneRun)
+	if rest := replay - build - roundTrip; rest < 0 || rest >= oneRun {
+		t.Errorf("replay allocates %v beyond the task graph and one pool round trip: room for another vtime run (%v)", rest, oneRun)
 	}
 }
 

@@ -945,6 +945,7 @@ func (o *Optimizer) PlanTasks(plan *core.Plan) ([]vtime.Task, error) {
 	}
 	// Recover each node's input cardinality from its deps' estimates.
 	cardOf := map[string]int{"dataset": o.Store.Len()}
+	taskOf := make(map[int]int, len(order)) // node id -> the node's own task
 	var tasks []vtime.Task
 	for _, n := range order {
 		inCard := 0
@@ -963,7 +964,6 @@ func (o *Optimizer) PlanTasks(plan *core.Plan) ([]vtime.Task, error) {
 		if n.Args.Get("_viewed") == "1" {
 			work = 0
 		}
-		var units []vtime.Unit
 		spec, _ := ops.Get(n.Op)
 		var phys *ops.Physical
 		if spec != nil {
@@ -973,68 +973,42 @@ func (o *Optimizer) PlanTasks(plan *core.Plan) ([]vtime.Task, error) {
 				}
 			}
 		}
-		deps := make([]string, len(n.Deps))
-		for i, d := range n.Deps {
-			deps[i] = fmt.Sprintf("n%d", d)
+		// llmCalls is the implementation's call stream over work items.
+		llmCalls := func(work int, pool vtime.Pool) []vtime.Unit {
+			busy := o.Calib.EstimateLLM(n.Phys, work)
+			units := make([]vtime.Unit, max(o.Calib.EstimateLLMCalls(work), 1))
+			for i := range units {
+				units[i] = vtime.Unit{Dur: busy / time.Duration(len(units)), Pool: pool}
+			}
+			return units
 		}
+		deps := make([]int, len(n.Deps))
+		for i, d := range n.Deps {
+			deps[i] = taskOf[d]
+		}
+		var units []vtime.Unit
 		if m, scattered := n.Args.Int("_scatter"); scattered && m > 1 && phys != nil && phys.LLMBased {
 			// Scatter: the node's work splits across the cluster's machines,
-			// one task per shard, plus a merge task on the home machine
-			// gated on every shard (top-k combines re-rank the union there;
-			// exact merges are free computation).
-			shardWork := (work + m - 1) / m
-			shardIDs := make([]string, m)
-			for s := 0; s < m; s++ {
-				busy := o.Calib.EstimateLLM(n.Phys, shardWork)
-				calls := o.Calib.EstimateLLMCalls(shardWork)
-				if calls < 1 {
-					calls = 1
-				}
-				per := busy / time.Duration(calls)
-				var su []vtime.Unit
-				for i := 0; i < calls; i++ {
-					su = append(su, vtime.Unit{Dur: per, Resource: vtime.MachineResource(s)})
-				}
-				id := fmt.Sprintf("n%d.s%d", n.ID, s)
-				shardIDs[s] = id
-				tasks = append(tasks, vtime.Task{ID: id, Deps: deps, Units: su, Sequential: true})
+			// one task per shard, plus a merge on the home machine gated on
+			// every shard (top-k re-ranks the union; exact merges are free).
+			shards := make([]int, m)
+			for s := range shards {
+				shards[s] = len(tasks)
+				tasks = append(tasks, vtime.Task{Deps: deps, Units: llmCalls((work+m-1)/m, vtime.OnMachine(s)), Sequential: true})
 			}
-			var mu []vtime.Unit
+			deps = shards
 			if scatterMerge(n.Phys) == scatterCombine {
-				union := n.EstCard * m
-				if union > work {
-					union = work
-				}
-				busy := o.Calib.EstimateLLM(n.Phys, union)
-				calls := o.Calib.EstimateLLMCalls(union)
-				if calls < 1 {
-					calls = 1
-				}
-				per := busy / time.Duration(calls)
-				for i := 0; i < calls; i++ {
-					mu = append(mu, vtime.Unit{Dur: per, Resource: vtime.ResourceLLM})
-				}
+				units = llmCalls(min(n.EstCard*m, work), vtime.OnMachine(0))
 			} else {
-				mu = append(mu, vtime.Unit{Dur: o.Calib.EstimatePre(n.Phys, work)})
+				units = []vtime.Unit{{Dur: o.Calib.EstimatePre(n.Phys, work)}}
 			}
-			tasks = append(tasks, vtime.Task{ID: fmt.Sprintf("n%d", n.ID), Deps: shardIDs, Units: mu, Sequential: true})
-			cardOf["{"+n.OutVar+"}"] = n.EstCard
-			continue
-		}
-		if phys != nil && phys.LLMBased {
-			busy := o.Calib.EstimateLLM(n.Phys, work)
-			calls := o.Calib.EstimateLLMCalls(work)
-			if calls < 1 {
-				calls = 1
-			}
-			per := busy / time.Duration(calls)
-			for i := 0; i < calls; i++ {
-				units = append(units, vtime.Unit{Dur: per, Resource: vtime.ResourceLLM})
-			}
+		} else if phys != nil && phys.LLMBased {
+			units = llmCalls(work, vtime.OnMachine(0))
 		} else {
-			units = append(units, vtime.Unit{Dur: o.Calib.EstimatePre(n.Phys, work)})
+			units = []vtime.Unit{{Dur: o.Calib.EstimatePre(n.Phys, work)}}
 		}
-		tasks = append(tasks, vtime.Task{ID: fmt.Sprintf("n%d", n.ID), Deps: deps, Units: units, Sequential: true})
+		taskOf[n.ID] = len(tasks)
+		tasks = append(tasks, vtime.Task{Deps: deps, Units: units, Sequential: true})
 		cardOf["{"+n.OutVar+"}"] = n.EstCard
 	}
 	return tasks, nil

@@ -17,8 +17,8 @@ func batchUnit(key string, payload, decode time.Duration) vtime.Unit {
 	base := 80 * time.Millisecond
 	tmpl := 30 * time.Millisecond
 	return vtime.Unit{
-		Dur:      base + tmpl + payload + decode,
-		Resource: vtime.ResourceLLM,
+		Dur:  base + tmpl + payload + decode,
+		Pool: vtime.OnMachine(0),
 		Batch: &vtime.BatchSpec{
 			Key: key, Base: base, Decode: decode,
 			TemplatePrefill: tmpl, PayloadPrefill: payload,
@@ -32,7 +32,7 @@ func chain(id string, n int, key string) []vtime.Task {
 	for i := range units {
 		units[i] = batchUnit(key, 100*time.Millisecond, 200*time.Millisecond)
 	}
-	return []vtime.Task{{ID: id, Units: units, Sequential: true}}
+	return []vtime.Task{{Label: id, Units: units, Sequential: true}}
 }
 
 // TestBatchStarvationBounded is the fairness acceptance test: one heavy

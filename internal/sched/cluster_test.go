@@ -13,21 +13,20 @@ import (
 // homedGraph is graph() homed on machine m's slot resource, the way the
 // executor builds task graphs against a ticket's home machine.
 func homedGraph(m, calls int, dur time.Duration) []vtime.Task {
-	res := vtime.MachineResource(m)
+	res := vtime.OnMachine(m)
 	units := make([]vtime.Unit, calls)
 	for i := range units {
-		units[i] = vtime.Unit{Dur: dur, Resource: res}
+		units[i] = vtime.Unit{Dur: dur, Pool: res}
 	}
 	return []vtime.Task{
-		{ID: "a", Units: units},
-		{ID: "b", Deps: []string{"a"}, Units: []vtime.Unit{{Dur: dur, Resource: res}}},
+		{Label: "a", Units: units},
+		{Label: "b", Deps: []int{0}, Units: []vtime.Unit{{Dur: dur, Pool: res}}},
 	}
 }
 
 // TestClusterM1MatchesPool asserts a 1-machine cluster is bit-identical
 // to the plain single-machine pool — the scale-out PR's compatibility
-// bar. Machine 0 keeps the bare "llm" resource, so the same task graphs
-// drive both.
+// bar. The same task graphs drive both.
 func TestClusterM1MatchesPool(t *testing.T) {
 	runSeq := func(p *Pool) []JobResult {
 		var out []JobResult
@@ -60,7 +59,7 @@ func TestClusterM1MatchesPool(t *testing.T) {
 	}
 
 	pool := runSeq(NewPool(4))
-	cluster := runSeq(NewCluster(1, 4).Pool)
+	cluster := runSeq(NewCluster(1, 4))
 	for i := range pool {
 		if fmt.Sprintf("%+v", pool[i]) != fmt.Sprintf("%+v", cluster[i]) {
 			t.Fatalf("job %d diverged:\npool:    %+v\ncluster: %+v", i, pool[i], cluster[i])
@@ -102,10 +101,10 @@ func TestClusterMachinesRunInParallel(t *testing.T) {
 		t.Fatalf("both tickets homed on machine %d", tkA.Machine())
 	}
 	serial := func(m int) []vtime.Task {
-		res := vtime.MachineResource(m)
-		return []vtime.Task{{ID: "op", Sequential: true, Units: []vtime.Unit{
-			{Dur: ms(10), Resource: res},
-			{Dur: ms(10), Resource: res},
+		res := vtime.OnMachine(m)
+		return []vtime.Task{{Label: "op", Sequential: true, Units: []vtime.Unit{
+			{Dur: ms(10), Pool: res},
+			{Dur: ms(10), Pool: res},
 		}}}
 	}
 	var jrB JobResult
@@ -115,7 +114,7 @@ func TestClusterMachinesRunInParallel(t *testing.T) {
 		defer wg.Done()
 		jrB, _ = c.Run(context.Background(), tkB, serial(tkB.Machine()))
 	}()
-	waitPending(t, c.Pool, 1)
+	waitPending(t, c, 1)
 	c.Release(gate)
 	jrA, err := c.Run(context.Background(), tkA, serial(tkA.Machine()))
 	wg.Wait()
@@ -169,7 +168,7 @@ func TestClusterDeterministicReplay(t *testing.T) {
 				out[i] = jr
 			}(i)
 		}
-		waitPending(t, c.Pool, n)
+		waitPending(t, c, n)
 		c.Release(gate)
 		wg.Wait()
 		for i := range tks {

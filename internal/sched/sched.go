@@ -1,7 +1,7 @@
 // Package sched is the process-global slot-pool scheduler: it multiplexes
 // every concurrent query in the process onto the one simulated machine the
-// paper evaluates on (4 local LLM slots, §VI-A) — or, via Cluster, onto a
-// simulated M-machine cluster whose machines share one virtual clock.
+// paper evaluates on (4 local LLM slots, §VI-A) — or, via NewCluster, onto
+// a simulated M-machine cluster whose machines share one virtual clock.
 //
 // Before this package each query scheduled its recorded work on a private
 // vtime.Schedule, so two concurrent /v1/query requests both pretended they
@@ -89,11 +89,11 @@ type JobResult struct {
 	GrantWait time.Duration
 	// Grants counts slot grants the query received.
 	Grants int
-	// Finish maps task IDs to completion times relative to Start.
-	Finish map[string]time.Duration
-	// TaskWait maps task IDs to their share of GrantWait, attributing
-	// slot contention to individual operators.
-	TaskWait map[string]time.Duration
+	// Finish holds each task's completion time relative to Start, and
+	// TaskWait its share of GrantWait (attributing slot contention to
+	// individual operators), both by index into the submitted tasks.
+	Finish   []time.Duration
+	TaskWait []time.Duration
 	// Contended reports that the query was scheduled against a non-idle
 	// machine (busy slots at admission or co-pending queries).
 	Contended bool
@@ -101,7 +101,7 @@ type JobResult struct {
 	// batched invocation with another query (0 without batching).
 	BatchedUnits int
 	// TaskBatched breaks BatchedUnits down per task (nil when zero).
-	TaskBatched map[string]int
+	TaskBatched []int
 }
 
 // MachineStat is one machine's share of a cluster snapshot.
@@ -200,8 +200,9 @@ type Pool struct {
 	// Epoch accounting: an epoch spans from the first admission on an
 	// idle pool until the pool drains. Since the clock jumps past every
 	// busy slot when an epoch opens, epochs always start on an idle
-	// machine; committed holds the epoch's already-finalized jobs so
-	// later finalizations replay them for a coherent joint schedule.
+	// machine; committed holds the epoch's already-finalized jobs, merged
+	// into one task slice, so later finalizations replay them for a
+	// coherent joint schedule.
 	//
 	// Busy totals use OVERWRITE semantics: each finalization's merged
 	// replay covers every job of the epoch seen so far (committed,
@@ -215,7 +216,7 @@ type Pool struct {
 	epochEnd     time.Duration
 	epochBusy    time.Duration
 	epochQueries int
-	committed    []commitJob
+	committed    []vtime.Task
 	lastUtil     float64
 
 	// Per-machine accounting (index = machine).
@@ -249,19 +250,15 @@ type pendJob struct {
 	tasks []vtime.Task
 }
 
-// commitJob is a finalized job replayed by later finalizations in the
-// same epoch.
-type commitJob struct {
-	job      int
-	priority int
-	tasks    []vtime.Task
-}
-
 // NewPool returns a pool modeling one machine with the given number of
 // LLM slots.
-func NewPool(slots int) *Pool { return newPool(1, slots) }
+func NewPool(slots int) *Pool { return NewCluster(1, slots) }
 
-func newPool(machines, slots int) *Pool {
+// NewCluster returns a pool modeling an M-machine cluster: M identical
+// slot pools sharing one virtual clock and one admission order. Admitted
+// tickets are routed round-robin to a home machine; scattered operators
+// may place per-shard work on other machines' slots.
+func NewCluster(machines, slots int) *Pool {
 	if machines < 1 {
 		machines = 1
 	}
@@ -284,22 +281,6 @@ func newPool(machines, slots int) *Pool {
 		activeByMach:    make([]int, machines),
 		lastMachUtil:    make([]float64, machines),
 	}
-}
-
-// Cluster is a simulated M-machine cluster: M identical slot pools
-// sharing one virtual clock and one admission order. Admitted tickets are
-// routed round-robin to a home machine; scattered operators may place
-// per-shard work on other machines' slots. A Cluster with one machine is
-// byte-for-byte the single Pool (machine 0 keeps the canonical "llm"
-// resource), so M=1 schedules are unchanged.
-type Cluster struct {
-	*Pool
-}
-
-// NewCluster returns an M-machine cluster with slotsPer LLM slots on
-// each machine.
-func NewCluster(machines, slotsPer int) *Cluster {
-	return &Cluster{Pool: newPool(machines, slotsPer)}
 }
 
 // Slots reports the pool's slot count per machine.
@@ -411,9 +392,19 @@ var ErrTicketUsed = errors.New("sched: ticket already used")
 // that submitted while waiting their turn are scheduled jointly (the fair
 // queue), so an earlier query cannot starve a later one of slots. The
 // returned makespan is measured from the ticket's admission time.
+// Dependencies are indices into tasks.
 func (p *Pool) Run(ctx context.Context, tk *Ticket, tasks []vtime.Task) (JobResult, error) {
 	if tk == nil {
 		return JobResult{}, fmt.Errorf("sched: nil ticket")
+	}
+	// Merged into a joint schedule, an index past the job's own tasks
+	// would name another query's task.
+	for i, t := range tasks {
+		for _, d := range t.Deps {
+			if d < 0 || d >= len(tasks) {
+				return JobResult{}, fmt.Errorf("sched: task %d depends on unknown task %d", i, d)
+			}
+		}
 	}
 	p.mu.Lock()
 	if tk.released || tk.ran {
@@ -482,13 +473,14 @@ func (p *Pool) finalizeLocked(tk *Ticket) (JobResult, error) {
 	sort.Slice(others, func(i, j int) bool { return others[i].tk.seq < others[j].tk.seq })
 	contended := len(others) > 0 || len(p.committed) > 0
 
-	var merged []vtime.Task
-	for _, c := range p.committed {
-		merged = append(merged, prefixTasks(c.tasks, c.job, c.priority)...)
-	}
-	merged = append(merged, prefixTasks(job.tasks, ej, tk.Priority)...)
+	// The committed jobs lead the merged schedule and the finalizing job
+	// follows them, so on success that prefix is the next finalization's
+	// committed slice as it stands: a committed job is rebased once.
+	base := len(p.committed)
+	merged := appendJob(p.committed, job.tasks, ej, tk.Priority)
+	commit := len(merged)
 	for _, pj := range others {
-		merged = append(merged, prefixTasks(pj.tasks, pj.tk.epochJob, pj.tk.Priority)...)
+		merged = appendJob(merged, pj.tasks, pj.tk.epochJob, pj.tk.Priority)
 	}
 	cluster := vtime.NewCluster(p.machines, p.slots)
 	cluster.Batching = p.Batching
@@ -507,13 +499,18 @@ func (p *Pool) finalizeLocked(tk *Ticket) (JobResult, error) {
 		}
 	}
 
+	var own vtime.JobStats // zero for a job that submitted no tasks
+	if ej < len(mres.Jobs) {
+		own = mres.Jobs[ej]
+	}
 	jr := JobResult{
 		Start:     t0,
-		Makespan:  mres.JobEnd[ej],
-		Busy:      mres.JobBusy[ej],
-		GrantWait: mres.JobWait[ej],
-		Grants:    mres.JobGrants[ej],
-		Finish:    make(map[string]time.Duration, len(job.tasks)),
+		Makespan:  own.End,
+		Busy:      own.Busy,
+		GrantWait: own.Wait,
+		Grants:    own.Grants,
+		Finish:    mres.Finish[base:commit:commit],
+		TaskWait:  mres.TaskWait[base:commit:commit],
 		Contended: contended,
 	}
 	for _, g := range mres.Batches {
@@ -525,40 +522,19 @@ func (p *Pool) finalizeLocked(tk *Ticket) (JobResult, error) {
 				continue
 			}
 			jr.BatchedUnits++
-			if own, ok := stripJob(m.Task, ej); ok {
-				if jr.TaskBatched == nil {
-					jr.TaskBatched = make(map[string]int)
-				}
-				jr.TaskBatched[own]++
+			if jr.TaskBatched == nil {
+				jr.TaskBatched = make([]int, len(job.tasks))
 			}
+			jr.TaskBatched[m.Task-base]++
 		}
 	}
-	for id, f := range mres.Finish {
-		if own, ok := stripJob(id, ej); ok {
-			jr.Finish[own] = f
-		}
-	}
-	for id, w := range mres.TaskWait {
-		if own, ok := stripJob(id, ej); ok && w > 0 {
-			if jr.TaskWait == nil {
-				jr.TaskWait = make(map[string]time.Duration)
-			}
-			jr.TaskWait[own] = w
-		}
-	}
-	p.committed = append(p.committed, commitJob{job: ej, priority: tk.Priority, tasks: job.tasks})
+	p.committed = merged[:commit]
 
 	// Advance each machine's state to the merged schedule's slot free
 	// times; the next epoch opens no earlier than the busiest slot drains.
-	// A machine absent from SlotFree ran nothing this schedule.
 	for m := range p.free {
-		newFree := mres.SlotFree[vtime.MachineResource(m)]
 		for i := range p.free[m] {
-			if i < len(newFree) {
-				p.free[m][i] = t0 + newFree[i]
-			} else {
-				p.free[m][i] = t0
-			}
+			p.free[m][i] = t0 + mres.SlotFree[m][i]
 		}
 	}
 
@@ -568,14 +544,9 @@ func (p *Pool) finalizeLocked(tk *Ticket) (JobResult, error) {
 	// compositions. For a lone job per epoch this equals the old per-job
 	// accumulation exactly.
 	p.epochBusy = 0
-	for m := range p.epochMachBusy {
-		p.epochMachBusy[m] = 0
-	}
-	for resName, b := range mres.Busy {
-		if m, ok := vtime.MachineOf(resName); ok && m < p.machines {
-			p.epochBusy += b
-			p.epochMachBusy[m] += b
-		}
+	for m, b := range mres.Busy {
+		p.epochBusy += b
+		p.epochMachBusy[m] = b
 	}
 	p.epochBatchGrants = int64(len(mres.Batches))
 	p.epochBatchUnits = 0
@@ -604,7 +575,7 @@ func (p *Pool) finalizeLocked(tk *Ticket) (JobResult, error) {
 		jr.Solo = jr.Makespan
 	}
 
-	end := t0 + mres.JobEnd[ej]
+	end := t0 + own.End
 	if end > p.epochEnd {
 		p.epochEnd = end
 	}
@@ -732,32 +703,23 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// prefixTasks namespaces a job's tasks into the merged schedule.
-func prefixTasks(tasks []vtime.Task, job, priority int) []vtime.Task {
-	out := make([]vtime.Task, len(tasks))
-	for i, t := range tasks {
-		t.ID = jobPrefix(job) + t.ID
-		deps := make([]string, len(t.Deps))
-		for j, d := range t.Deps {
-			deps[j] = jobPrefix(job) + d
+// appendJob appends a job's tasks to a merged schedule: dependencies,
+// which index the job's own tasks, move by the job's offset in merged.
+func appendJob(merged, tasks []vtime.Task, job, priority int) []vtime.Task {
+	base, n := len(merged), 0
+	for _, t := range tasks {
+		n += len(t.Deps)
+	}
+	deps := make([]int, 0, n)
+	for _, t := range tasks {
+		own := len(deps)
+		for _, d := range t.Deps {
+			deps = append(deps, base+d)
 		}
-		t.Deps = deps
-		t.Job = job
-		t.Priority = priority
-		out[i] = t
+		t.Deps, t.Job, t.Priority = deps[own:len(deps):len(deps)], job, priority
+		merged = append(merged, t)
 	}
-	return out
-}
-
-func jobPrefix(job int) string { return fmt.Sprintf("q%d|", job) }
-
-// stripJob recovers a task's own ID from its namespaced form.
-func stripJob(id string, job int) (string, bool) {
-	pre := jobPrefix(job)
-	if len(id) >= len(pre) && id[:len(pre)] == pre {
-		return id[len(pre):], true
-	}
-	return "", false
+	return merged
 }
 
 type ctxKey int

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +17,11 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 func graph(calls int, dur time.Duration) []vtime.Task {
 	units := make([]vtime.Unit, calls)
 	for i := range units {
-		units[i] = vtime.Unit{Dur: dur, Resource: vtime.ResourceLLM}
+		units[i] = vtime.Unit{Dur: dur, Pool: vtime.OnMachine(0)}
 	}
 	return []vtime.Task{
-		{ID: "a", Units: units},
-		{ID: "b", Deps: []string{"a"}, Units: []vtime.Unit{{Dur: dur, Resource: vtime.ResourceLLM}}},
+		{Label: "a", Units: units},
+		{Label: "b", Deps: []int{0}, Units: []vtime.Unit{{Dur: dur, Pool: vtime.OnMachine(0)}}},
 	}
 }
 
@@ -49,13 +50,11 @@ func TestSoloMatchesPrivateSchedule(t *testing.T) {
 	if jr.Contended {
 		t.Fatal("lone query reported contended")
 	}
-	for id, f := range want.Finish {
-		if jr.Finish[id] != f {
-			t.Fatalf("finish[%s] %v != private %v", id, jr.Finish[id], f)
-		}
+	if !slices.Equal(jr.Finish, want.Finish) {
+		t.Fatalf("finish %v != private %v", jr.Finish, want.Finish)
 	}
-	if jr.Busy != want.Busy[vtime.ResourceLLM] {
-		t.Fatalf("busy %v != private %v", jr.Busy, want.Busy[vtime.ResourceLLM])
+	if jr.Busy != want.Busy[0] {
+		t.Fatalf("busy %v != private %v", jr.Busy, want.Busy[0])
 	}
 }
 
@@ -209,11 +208,11 @@ func TestFairnessRoundRobin(t *testing.T) {
 	tkA := p.Admit(0)
 	tkB := p.Admit(0)
 	tasks := func() []vtime.Task {
-		return []vtime.Task{{ID: "op", Units: []vtime.Unit{
-			{Dur: ms(10), Resource: vtime.ResourceLLM},
-			{Dur: ms(10), Resource: vtime.ResourceLLM},
-			{Dur: ms(10), Resource: vtime.ResourceLLM},
-			{Dur: ms(10), Resource: vtime.ResourceLLM},
+		return []vtime.Task{{Label: "op", Units: []vtime.Unit{
+			{Dur: ms(10), Pool: vtime.OnMachine(0)},
+			{Dur: ms(10), Pool: vtime.OnMachine(0)},
+			{Dur: ms(10), Pool: vtime.OnMachine(0)},
+			{Dur: ms(10), Pool: vtime.OnMachine(0)},
 		}}}
 	}
 	var jrA, jrB JobResult
@@ -243,7 +242,7 @@ func TestPriorityWins(t *testing.T) {
 	tkLow := p.Admit(0)
 	tkHigh := p.Admit(5)
 	one := func() []vtime.Task {
-		return []vtime.Task{{ID: "op", Units: []vtime.Unit{{Dur: ms(10), Resource: vtime.ResourceLLM}}}}
+		return []vtime.Task{{Label: "op", Units: []vtime.Unit{{Dur: ms(10), Pool: vtime.OnMachine(0)}}}}
 	}
 	var jrHigh JobResult
 	var wg sync.WaitGroup

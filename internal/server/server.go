@@ -323,13 +323,13 @@ func queryStatus(err error) int {
 }
 
 // requestTimeout resolves a request's effective deadline: the server
-// bound, shortened by a positive timeout_ms.
+// bound, shortened by a positive timeout_ms. The comparison is made in
+// milliseconds: a timeout_ms too large for a Duration is capped by the
+// bound like any other, where converting first would wrap it negative.
 func (s *Server) requestTimeout(req QueryRequest) time.Duration {
 	d := s.timeout()
-	if req.TimeoutMS > 0 {
-		if rd := time.Duration(req.TimeoutMS) * time.Millisecond; rd < d {
-			d = rd
-		}
+	if ms := int64(req.TimeoutMS); ms > 0 && ms <= d.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	return d
 }

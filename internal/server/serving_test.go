@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -404,5 +405,50 @@ func TestServeDepthReadsTheQueue(t *testing.T) {
 	clients.Wait()
 	if q, in := depth(); q != 0 || in != 0 {
 		t.Errorf("idle server: queue_depth %v, inflight %v", q, in)
+	}
+}
+
+// TestRequestTimeoutIsCappedNotWrapped: timeout_ms shortens the server's
+// bound and never lengthens it. A value too large for a time.Duration used
+// to wrap negative on conversion, compare below the bound, and kill the
+// request in admission with a 408.
+func TestRequestTimeoutIsCappedNotWrapped(t *testing.T) {
+	ds, err := corpus.GenerateN("sports", 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(servingSystem(t, ds))
+	srv.Timeout = time.Minute
+	bound := srv.Timeout.Milliseconds()
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, time.Minute},
+		{1, time.Millisecond},
+		{bound - 1, time.Minute - time.Millisecond},
+		{bound, time.Minute},
+		{bound + 1, time.Minute},
+		{9300000000000, time.Minute}, // 9.3e12 ms is past MaxInt64 nanoseconds
+		{math.MaxInt64, time.Minute},
+	} {
+		if got := srv.requestTimeout(QueryRequest{TimeoutMS: int(tc.ms)}); got != tc.want {
+			t.Errorf("timeout_ms %d: effective deadline %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for ms, want := range map[int]int{
+		60000:         http.StatusOK,
+		9300000000000: http.StatusOK,
+		math.MaxInt64: http.StatusOK,
+		-1:            http.StatusBadRequest,
+	} {
+		resp := postQuery(t, ts.URL, QueryRequest{Query: servingQueries[0], TimeoutMS: ms})
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("timeout_ms %d: status %d, want %d", ms, resp.StatusCode, want)
+		}
 	}
 }

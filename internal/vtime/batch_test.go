@@ -14,8 +14,8 @@ func bu(key string, payloadMs, decodeMs int) Unit {
 	payload := time.Duration(payloadMs) * time.Millisecond
 	decode := time.Duration(decodeMs) * time.Millisecond
 	return Unit{
-		Dur:      base + tmpl + payload + decode,
-		Resource: ResourceLLM,
+		Dur:  base + tmpl + payload + decode,
+		Pool: OnMachine(0),
 		Batch: &BatchSpec{
 			Key:             key,
 			Base:            base,
@@ -44,8 +44,8 @@ func TestBatchCoalescesAcrossJobs(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bu("k", 100, 200)}},
-		{ID: "b", Job: 1, Units: []Unit{bu("k", 100, 200)}},
+		{Label: "a", Job: 0, Units: []Unit{bu("k", 100, 200)}},
+		{Label: "b", Job: 1, Units: []Unit{bu("k", 100, 200)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -77,11 +77,11 @@ func TestBatchCoalescesAcrossJobs(t *testing.T) {
 	if shares != g.Dur {
 		t.Errorf("share sum %v != batch dur %v", shares, g.Dur)
 	}
-	if res.Busy[ResourceLLM] != want {
-		t.Errorf("busy = %v, want %v (one invocation)", res.Busy[ResourceLLM], want)
+	if res.Busy[0] != want {
+		t.Errorf("busy = %v, want %v (one invocation)", res.Busy[0], want)
 	}
-	if res.JobBusy[0]+res.JobBusy[1] != want {
-		t.Errorf("job busy sum %v != %v", res.JobBusy[0]+res.JobBusy[1], want)
+	if res.Jobs[0].Busy+res.Jobs[1].Busy != want {
+		t.Errorf("job busy sum %v != %v", res.Jobs[0].Busy+res.Jobs[1].Busy, want)
 	}
 }
 
@@ -92,9 +92,9 @@ func TestBatchSharedPayloadChargedOnce(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bup("k", "chunk0", 400, 100)}},
-		{ID: "b", Job: 1, Units: []Unit{bup("k", "chunk0", 400, 100)}},
-		{ID: "c", Job: 2, Units: []Unit{bup("k", "chunk0", 400, 100)}},
+		{Label: "a", Job: 0, Units: []Unit{bup("k", "chunk0", 400, 100)}},
+		{Label: "b", Job: 1, Units: []Unit{bup("k", "chunk0", 400, 100)}},
+		{Label: "c", Job: 2, Units: []Unit{bup("k", "chunk0", 400, 100)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -116,8 +116,8 @@ func TestBatchSharedPayloadChargedOnce(t *testing.T) {
 	if g.Dur < solo {
 		t.Errorf("shared-payload batch %v beats a member's solo %v", g.Dur, solo)
 	}
-	if res.Busy[ResourceLLM] != want {
-		t.Errorf("busy = %v, want one shared invocation %v", res.Busy[ResourceLLM], want)
+	if res.Busy[0] != want {
+		t.Errorf("busy = %v, want one shared invocation %v", res.Busy[0], want)
 	}
 }
 
@@ -128,10 +128,10 @@ func TestBatchMixedPayloadGroups(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bup("k", "chunk0", 300, 100)}},
-		{ID: "b", Job: 1, Units: []Unit{bup("k", "chunk0", 300, 100)}},
-		{ID: "c", Job: 2, Units: []Unit{bup("k", "chunk7", 200, 100)}},
-		{ID: "d", Job: 3, Units: []Unit{bup("k", "", 150, 100)}},
+		{Label: "a", Job: 0, Units: []Unit{bup("k", "chunk0", 300, 100)}},
+		{Label: "b", Job: 1, Units: []Unit{bup("k", "chunk0", 300, 100)}},
+		{Label: "c", Job: 2, Units: []Unit{bup("k", "chunk7", 200, 100)}},
+		{Label: "d", Job: 3, Units: []Unit{bup("k", "", 150, 100)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestBatchNeverCoalescesWithinJob(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200)}},
+		{Label: "a", Job: 0, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -177,8 +177,8 @@ func TestBatchNeverCoalescesWithinJob(t *testing.T) {
 // schedule matches the policy-off schedule bit for bit.
 func TestBatchSingletonIdentity(t *testing.T) {
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bu("k", 100, 200)}},
-		{ID: "b", Job: 1, Units: []Unit{bu("other", 50, 100)}},
+		{Label: "a", Job: 0, Units: []Unit{bu("k", 100, 200)}},
+		{Label: "b", Job: 1, Units: []Unit{bu("other", 50, 100)}},
 	}
 	off := NewSchedule(2)
 	ores, err := off.Run(tasks)
@@ -194,8 +194,8 @@ func TestBatchSingletonIdentity(t *testing.T) {
 	if bres.Makespan != ores.Makespan {
 		t.Errorf("incompatible keys changed makespan: %v vs %v", bres.Makespan, ores.Makespan)
 	}
-	if bres.Busy[ResourceLLM] != ores.Busy[ResourceLLM] {
-		t.Errorf("busy differs: %v vs %v", bres.Busy[ResourceLLM], ores.Busy[ResourceLLM])
+	if bres.Busy[0] != ores.Busy[0] {
+		t.Errorf("busy differs: %v vs %v", bres.Busy[0], ores.Busy[0])
 	}
 	for _, g := range bres.Batches {
 		if len(g.Members) != 1 {
@@ -217,11 +217,11 @@ func TestBatchWindowDeferral(t *testing.T) {
 		// sequential chain, so it is pending with a future ready time when
 		// job 1's leader is granted — the hold-the-door case.
 		tasks := []Task{
-			{ID: "d", Job: 0, Sequential: true, Units: []Unit{
+			{Label: "d", Job: 0, Sequential: true, Units: []Unit{
 				{Dur: time.Duration(delayMs) * time.Millisecond},
 				bu("k", 100, 200),
 			}},
-			{ID: "a", Job: 1, Units: []Unit{bu("k", 100, 200)}},
+			{Label: "a", Job: 1, Units: []Unit{bu("k", 100, 200)}},
 		}
 		return s.Run(tasks)
 	}
@@ -266,8 +266,8 @@ func TestBatchJoinGuardRejectsUnprofitable(t *testing.T) {
 	// tiny solo) joining a huge leader — marginal decode slowdown of the
 	// LEADER's decode exceeds the candidate's whole solo duration.
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bu("k", 10, 3000)}},
-		{ID: "b", Job: 1, Units: []Unit{bu("k", 10, 10)}},
+		{Label: "a", Job: 0, Units: []Unit{bu("k", 10, 3000)}},
+		{Label: "b", Job: 1, Units: []Unit{bu("k", 10, 10)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -289,7 +289,7 @@ func TestBatchFairnessCapBoundsGrowth(t *testing.T) {
 	s.Batching = &BatchPolicy{Window: 100 * time.Millisecond, FairnessCap: 700 * time.Millisecond, MaxBatch: 8}
 	var tasks []Task
 	for j := 0; j < 6; j++ {
-		tasks = append(tasks, Task{ID: string(rune('a' + j)), Job: j, Units: []Unit{bu("k", 100, 200)}})
+		tasks = append(tasks, Task{Label: string(rune('a' + j)), Job: j, Units: []Unit{bu("k", 100, 200)}})
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -313,7 +313,7 @@ func TestBatchMaxBatchBound(t *testing.T) {
 	s.Batching = &BatchPolicy{Window: 100 * time.Millisecond, MaxBatch: 2}
 	var tasks []Task
 	for j := 0; j < 5; j++ {
-		tasks = append(tasks, Task{ID: string(rune('a' + j)), Job: j, Units: []Unit{bu("k", 100, 200)}})
+		tasks = append(tasks, Task{Label: string(rune('a' + j)), Job: j, Units: []Unit{bu("k", 100, 200)}})
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -334,9 +334,9 @@ func TestBatchNeverBeatsSolo(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Units: []Unit{bu("k", 300, 100)}},
-		{ID: "b", Job: 1, Units: []Unit{bu("k", 20, 400)}},
-		{ID: "c", Job: 2, Units: []Unit{bu("k", 150, 250)}},
+		{Label: "a", Job: 0, Units: []Unit{bu("k", 300, 100)}},
+		{Label: "b", Job: 1, Units: []Unit{bu("k", 20, 400)}},
+		{Label: "c", Job: 2, Units: []Unit{bu("k", 150, 250)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestBatchNeverBeatsSolo(t *testing.T) {
 	for _, g := range res.Batches {
 		for _, m := range g.Members {
 			if end := g.Start + g.Dur; end < m.Ready+m.Solo {
-				t.Errorf("member %s finished %v, before solo bound %v", m.Task, end, m.Ready+m.Solo)
+				t.Errorf("member %s finished %v, before solo bound %v", tasks[m.Task].Label, end, m.Ready+m.Solo)
 			}
 		}
 	}
@@ -359,7 +359,7 @@ func TestBatchDeterministicReplay(t *testing.T) {
 		var tasks []Task
 		for j := 0; j < 6; j++ {
 			tasks = append(tasks, Task{
-				ID: string(rune('a' + j)), Job: j, Sequential: true,
+				Label: string(rune('a' + j)), Job: j, Sequential: true,
 				Units: []Unit{bu("k", 100, 200), bu("k", 50, 100)},
 			})
 		}
@@ -396,8 +396,8 @@ func TestBatchSequentialLockstep(t *testing.T) {
 	s := NewSchedule(4)
 	s.Batching = batchPolicy()
 	tasks := []Task{
-		{ID: "a", Job: 0, Sequential: true, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200), bu("k", 100, 200)}},
-		{ID: "b", Job: 1, Sequential: true, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200), bu("k", 100, 200)}},
+		{Label: "a", Job: 0, Sequential: true, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200), bu("k", 100, 200)}},
+		{Label: "b", Job: 1, Sequential: true, Units: []Unit{bu("k", 100, 200), bu("k", 100, 200), bu("k", 100, 200)}},
 	}
 	res, err := s.Run(tasks)
 	if err != nil {
@@ -412,10 +412,10 @@ func TestBatchSequentialLockstep(t *testing.T) {
 		}
 	}
 	var jobSum time.Duration
-	for _, d := range res.JobBusy {
-		jobSum += d
+	for _, j := range res.Jobs {
+		jobSum += j.Busy
 	}
-	if jobSum != res.Busy[ResourceLLM] {
-		t.Errorf("job busy sum %v != resource busy %v", jobSum, res.Busy[ResourceLLM])
+	if jobSum != res.Busy[0] {
+		t.Errorf("job busy sum %v != resource busy %v", jobSum, res.Busy[0])
 	}
 }

@@ -1,21 +1,119 @@
 package vtime
 
-// refRun is Schedule.Run as it stood before the typed heaps: the pending
-// queue and the slot-free times behind container/heap, every Push and Pop
-// boxing its element into an interface, and result maps that grow as they
-// fill. It is kept verbatim (identifiers renamed) as the reference the
-// differential test at the end of this file holds Run to, Result for
-// Result.
+// refRun is Schedule.Run as it stood when identity was a string: a task an
+// ID that dependencies and result maps spell out, a machine a resource name
+// ("llm", "llm@2") looked up in a capacity map. It is also the run from
+// before the typed heaps — the pending queue and the slot-free times behind
+// container/heap. Types and code are kept verbatim (identifiers renamed) as
+// the reference the differential test at the end of this file holds Run to,
+// field for field through the name-to-index table.
 
 import (
 	"container/heap"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
+
+type refUnit struct {
+	Dur      time.Duration
+	Resource string // "" means unlimited (CPU-style) resource
+	Batch    *BatchSpec
+}
+
+type refBatchGrant struct {
+	Resource string
+	Key      string
+	GrantAt  time.Duration
+	Start    time.Duration
+	Dur      time.Duration
+	Members  []refBatchMember
+}
+
+type refBatchMember struct {
+	Task  string
+	Job   int
+	Ready time.Duration
+	Wait  time.Duration
+	Solo  time.Duration
+	Share time.Duration
+}
+
+type refTask struct {
+	ID         string
+	Deps       []string
+	Units      []refUnit
+	Sequential bool
+	Job        int
+	Priority   int
+}
+
+// refSchedule is a machine model: capacity per named resource. Resources
+// not present are treated as unlimited.
+type refSchedule struct {
+	Capacity map[string]int
+	Batching *BatchPolicy
+}
+
+const refResourceLLM = "llm"
+
+// refMachineResource names the LLM slot resource of one machine in a
+// simulated cluster. Machine 0 keeps the canonical "llm" name.
+func refMachineResource(m int) string {
+	if m <= 0 {
+		return refResourceLLM
+	}
+	return fmt.Sprintf("llm@%d", m)
+}
+
+func refNewCluster(machines, slotsPer int) *refSchedule {
+	if machines < 1 {
+		machines = 1
+	}
+	if slotsPer < 1 {
+		slotsPer = 1
+	}
+	cap := make(map[string]int, machines)
+	for m := 0; m < machines; m++ {
+		cap[refMachineResource(m)] = slotsPer
+	}
+	return &refSchedule{Capacity: cap}
+}
+
+// refMachineOf reports which cluster machine a resource name belongs to
+// (false for unlimited CPU-style resources).
+func refMachineOf(resource string) (int, bool) {
+	if resource == refResourceLLM {
+		return 0, true
+	}
+	if strings.HasPrefix(resource, "llm@") {
+		if m, err := strconv.Atoi(resource[len("llm@"):]); err == nil && m > 0 {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
+type refResult struct {
+	Makespan   time.Duration
+	Finish     map[string]time.Duration
+	Busy       map[string]time.Duration
+	JobBusy    map[int]time.Duration
+	JobWait    map[int]time.Duration
+	JobGrants  map[int]int
+	JobEnd     map[int]time.Duration
+	TaskWait   map[string]time.Duration
+	JobResBusy map[int]map[string]time.Duration
+	SlotFree   map[string][]time.Duration
+	Batches    []refBatchGrant
+}
 
 type refUnitHeap []pendingUnit
 
@@ -33,11 +131,11 @@ func (h *refUnitHeap) Pop() interface{} {
 
 // refRun schedules the task graph and returns its makespan. It returns an
 // error on unknown dependencies or dependency cycles.
-func (s *Schedule) refRun(tasks []Task) (Result, error) {
+func (s *refSchedule) refRun(tasks []refTask) (refResult, error) {
 	idx := make(map[string]int, len(tasks))
 	for i, t := range tasks {
 		if _, dup := idx[t.ID]; dup {
-			return Result{}, fmt.Errorf("vtime: duplicate task %q", t.ID)
+			return refResult{}, fmt.Errorf("vtime: duplicate task %q", t.ID)
 		}
 		idx[t.ID] = i
 	}
@@ -47,7 +145,7 @@ func (s *Schedule) refRun(tasks []Task) (Result, error) {
 		for _, d := range t.Deps {
 			j, ok := idx[d]
 			if !ok {
-				return Result{}, fmt.Errorf("vtime: task %q depends on unknown task %q", t.ID, d)
+				return refResult{}, fmt.Errorf("vtime: task %q depends on unknown task %q", t.ID, d)
 			}
 			indeg[i]++
 			succ[j] = append(succ[j], i)
@@ -103,7 +201,7 @@ func (s *Schedule) refRun(tasks []Task) (Result, error) {
 	}
 
 	busy := map[string]time.Duration{}
-	res := Result{
+	res := refResult{
 		Finish:     make(map[string]time.Duration, len(tasks)),
 		Busy:       busy,
 		JobBusy:    map[int]time.Duration{},
@@ -225,7 +323,7 @@ func (s *Schedule) refRun(tasks []Task) (Result, error) {
 			}
 		}
 		sort.Strings(stuck)
-		return Result{}, fmt.Errorf("vtime: dependency cycle involving %v", stuck)
+		return refResult{}, fmt.Errorf("vtime: dependency cycle involving %v", stuck)
 	}
 	res.SlotFree = map[string][]time.Duration{}
 	for name, h := range free {
@@ -245,11 +343,11 @@ func (s *Schedule) refRun(tasks []Task) (Result, error) {
 // already applied). Selection is greedy with two guards: a member joins
 // only if it strictly shrinks total busy time versus running solo, and
 // only while the batch duration respects the fairness cap.
-func (s *Schedule) refGrantBatch(
-	pu pendingUnit, u Unit, grantAt time.Duration, h *refDurHeap,
-	pend *refUnitHeap, tasks []Task, seqs map[int]int,
+func (s *refSchedule) refGrantBatch(
+	pu pendingUnit, u refUnit, grantAt time.Duration, h *refDurHeap,
+	pend *refUnitHeap, tasks []refTask, seqs map[int]int,
 	remaining []int, finish []time.Duration,
-	busy map[string]time.Duration, res *Result,
+	busy map[string]time.Duration, res *refResult,
 	jobResBusy func(int, string, time.Duration),
 	completeTask func(int, time.Duration), scheduled *int,
 ) {
@@ -260,14 +358,14 @@ func (s *Schedule) refGrantBatch(
 	}
 	type memberRef struct {
 		pu   pendingUnit
-		unit Unit
+		unit refUnit
 	}
 	members := []memberRef{{pu, u}}
 	jobsIn := map[int]bool{tasks[pu.taskIdx].Job: true}
 	maxBase, maxTmpl, maxDecode := u.Batch.Base, u.Batch.TemplatePrefill, u.Batch.Decode
 	sumPayload := u.Batch.PayloadPrefill
 	payloads := map[string]time.Duration{}
-	payloadCommit(payloads, u.Batch)
+	refPayloadCommit(payloads, u.Batch)
 	// The fairness cap never undercuts the leader's own solo duration:
 	// a call too big to fit the cap alone still has to run.
 	capLimit := p.FairnessCap
@@ -308,7 +406,7 @@ func (s *Schedule) refGrantBatch(
 			if cu.Batch.Decode > nd {
 				nd = cu.Batch.Decode
 			}
-			np := sumPayload + payloadCharge(payloads, cu.Batch)
+			np := sumPayload + refPayloadCharge(payloads, cu.Batch)
 			newD := batchedDur(nb, nt, nd, np, len(members)+1)
 			if newD-batchedDur(maxBase, maxTmpl, maxDecode, sumPayload, len(members)) >= cu.Dur {
 				continue // joining would not shrink total busy time
@@ -317,7 +415,7 @@ func (s *Schedule) refGrantBatch(
 				continue
 			}
 			maxBase, maxTmpl, maxDecode, sumPayload = nb, nt, nd, np
-			payloadCommit(payloads, cu.Batch)
+			refPayloadCommit(payloads, cu.Batch)
 			members = append(members, memberRef{c, cu})
 			jobsIn[c.job] = true
 			taken[[2]int{c.taskIdx, c.unitIdx}] = true
@@ -369,7 +467,7 @@ func (s *Schedule) refGrantBatch(
 	}
 	shares[0] += D - ssum
 
-	grant := BatchGrant{Resource: u.Resource, Key: u.Batch.Key, GrantAt: grantAt, Start: bstart, Dur: D}
+	grant := refBatchGrant{Resource: u.Resource, Key: u.Batch.Key, GrantAt: grantAt, Start: bstart, Dur: D}
 	for i, m := range members {
 		mt := &tasks[m.pu.taskIdx]
 		wait := bstart - m.pu.ready
@@ -378,7 +476,7 @@ func (s *Schedule) refGrantBatch(
 		res.JobWait[mt.Job] += wait
 		res.TaskWait[mt.ID] += wait
 		res.JobGrants[mt.Job]++
-		grant.Members = append(grant.Members, BatchMember{
+		grant.Members = append(grant.Members, refBatchMember{
 			Task: mt.ID, Job: mt.Job, Ready: m.pu.ready, Wait: wait, Solo: m.unit.Dur, Share: shares[i],
 		})
 		*scheduled++
@@ -397,6 +495,34 @@ func (s *Schedule) refGrantBatch(
 	res.Batches = append(res.Batches, grant)
 }
 
+// refPayloadCharge returns the payload prefill a joining member adds to a
+// batch whose per-key payload maxima are in groups. A member whose
+// PayloadKey another member already brought charges only its excess over
+// the largest same-key payload (zero for the identical payloads the key
+// guarantees in practice); unique and keyless payloads charge in full.
+func refPayloadCharge(groups map[string]time.Duration, sp *BatchSpec) time.Duration {
+	if sp.PayloadKey == "" {
+		return sp.PayloadPrefill
+	}
+	if prev, ok := groups[sp.PayloadKey]; ok {
+		if sp.PayloadPrefill > prev {
+			return sp.PayloadPrefill - prev
+		}
+		return 0
+	}
+	return sp.PayloadPrefill
+}
+
+// refPayloadCommit records a member's payload in groups after it joins.
+func refPayloadCommit(groups map[string]time.Duration, sp *BatchSpec) {
+	if sp.PayloadKey == "" {
+		return
+	}
+	if prev, ok := groups[sp.PayloadKey]; !ok || sp.PayloadPrefill > prev {
+		groups[sp.PayloadKey] = sp.PayloadPrefill
+	}
+}
+
 // refDurHeap is a min-heap of slot-free times.
 type refDurHeap []time.Duration
 
@@ -412,18 +538,26 @@ func (h *refDurHeap) Pop() interface{} {
 	return x
 }
 
-// randomTasks draws a task graph: up to 12 tasks over up to 4 jobs,
-// dependencies on earlier tasks only, a mix of parallel and sequential
-// tasks, limited and unlimited resources on up to 3 machines, durations
-// from a small set so that ready times tie, and — when batched — units
-// carrying one of two batch keys and shared or unique payloads.
-func randomTasks(rng *rand.Rand, machines int, batched bool) []Task {
-	tasks := make([]Task, rng.Intn(12))
+// randomTasks draws a task graph in the reference's string form: up to 12
+// tasks over up to 4 sparsely numbered jobs, dependencies on earlier tasks
+// only, a mix of parallel and sequential tasks, limited and unlimited
+// resources on up to 3 machines — now and then one machine more than the
+// cluster has — durations from a small set so that ready times tie, and,
+// when batched, units carrying one of two batch keys and shared or unique
+// payloads.
+func randomTasks(rng *rand.Rand, machines int, batched bool) []refTask {
+	tasks := make([]refTask, rng.Intn(12))
+	resource := func() string {
+		if rng.Intn(16) == 0 {
+			return refMachineResource(machines)
+		}
+		return refMachineResource(rng.Intn(machines))
+	}
 	for i := range tasks {
-		t := Task{
+		t := refTask{
 			ID:         fmt.Sprintf("t%d", i),
 			Sequential: rng.Intn(3) == 0,
-			Job:        rng.Intn(4),
+			Job:        []int{0, 1, 5, 19}[rng.Intn(4)],
 		}
 		t.Priority = t.Job % 2 // one priority per job
 		for d := 0; d < i; d++ {
@@ -432,14 +566,13 @@ func randomTasks(rng *rand.Rand, machines int, batched bool) []Task {
 			}
 		}
 		for n := rng.Intn(6); n > 0; n-- {
-			un := Unit{Dur: time.Duration(1+rng.Intn(4)) * 50 * time.Millisecond}
+			un := refUnit{Dur: time.Duration(1+rng.Intn(4)) * 50 * time.Millisecond}
 			if rng.Intn(5) > 0 {
-				un.Resource = MachineResource(rng.Intn(machines))
+				un.Resource = resource()
 			}
 			if batched && un.Resource != "" && rng.Intn(4) > 0 {
-				payload := time.Duration(rng.Intn(3)) * 10 * time.Millisecond
-				un = bu([]string{"filter", "extract"}[rng.Intn(2)], int(payload/time.Millisecond), 20*(1+rng.Intn(3)))
-				un.Resource = MachineResource(rng.Intn(machines))
+				b := bu([]string{"filter", "extract"}[rng.Intn(2)], 10*rng.Intn(3), 20*(1+rng.Intn(3)))
+				un = refUnit{Dur: b.Dur, Resource: resource(), Batch: b.Batch}
 				if rng.Intn(2) == 0 {
 					un.Batch.PayloadKey = fmt.Sprintf("chunk-%d", rng.Intn(3))
 				}
@@ -451,18 +584,93 @@ func randomTasks(rng *rand.Rand, machines int, batched bool) []Task {
 	return tasks
 }
 
-// TestRunMatchesContainerHeapReference: over 10,000 random task sets,
-// with and without a batch policy, the typed heaps grant slots in exactly
-// the order container/heap did — every field of the Result is equal.
-func TestRunMatchesContainerHeapReference(t *testing.T) {
+// indexed converts a reference graph to the form Run takes: the ID becomes
+// the label, each dependency the index at resolves it to, each resource
+// name the machine it spells.
+func indexed(ref []refTask) []Task {
+	tasks := make([]Task, len(ref))
+	for i, rt := range ref {
+		tasks[i] = Task{Label: rt.ID, Sequential: rt.Sequential, Job: rt.Job, Priority: rt.Priority}
+		for _, ru := range rt.Units {
+			un := Unit{Dur: ru.Dur, Batch: ru.Batch}
+			if m, ok := refMachineOf(ru.Resource); ok {
+				un.Pool = OnMachine(m)
+			}
+			tasks[i].Units = append(tasks[i].Units, un)
+		}
+	}
+	for _, rt := range ref {
+		after(tasks, rt.ID, rt.Deps...)
+	}
+	return tasks
+}
+
+// named renders a Result in the reference's form: tasks by label, machines
+// by resource name, the per-job slice as the four maps.
+func named(res Result, tasks []Task) refResult {
+	out := refResult{
+		Makespan: res.Makespan,
+		Finish:   map[string]time.Duration{}, TaskWait: map[string]time.Duration{},
+		Busy: map[string]time.Duration{}, SlotFree: map[string][]time.Duration{},
+		JobBusy: map[int]time.Duration{}, JobWait: map[int]time.Duration{},
+		JobGrants: map[int]int{}, JobEnd: map[int]time.Duration{},
+	}
+	for i, t := range tasks {
+		out.Finish[t.Label] = res.Finish[i]
+		out.TaskWait[t.Label] = res.TaskWait[i]
+	}
+	for j, js := range res.Jobs {
+		out.JobBusy[j], out.JobWait[j], out.JobGrants[j], out.JobEnd[j] = js.Busy, js.Wait, js.Grants, js.End
+	}
+	for m := range res.Busy {
+		out.Busy[refMachineResource(m)] = res.Busy[m]
+		out.SlotFree[refMachineResource(m)] = res.SlotFree[m]
+	}
+	for _, g := range res.Batches {
+		rg := refBatchGrant{Resource: refMachineResource(g.Machine), Key: g.Key, GrantAt: g.GrantAt, Start: g.Start, Dur: g.Dur}
+		for _, m := range g.Members {
+			rg.Members = append(rg.Members, refBatchMember{tasks[m.Task].Label, m.Job, m.Ready, m.Wait, m.Solo, m.Share})
+		}
+		out.Batches = append(out.Batches, rg)
+	}
+	return out
+}
+
+// dropZeros deletes what an absent key reads as anyway. The reference's
+// maps hold only the tasks, jobs and machines a schedule touched, where
+// Result's slices hold a zero for the rest: zero durations and counts go
+// from both sides, and with them the free times of a machine whose slots
+// were never used. JobResBusy, which Result no longer carries, goes too.
+func dropZeros(r refResult) refResult {
+	zeroDur := func(_ string, d time.Duration) bool { return d == 0 }
+	zeroJobDur := func(_ int, d time.Duration) bool { return d == 0 }
+	maps.DeleteFunc(r.TaskWait, zeroDur)
+	maps.DeleteFunc(r.Busy, zeroDur)
+	maps.DeleteFunc(r.JobBusy, zeroJobDur)
+	maps.DeleteFunc(r.JobWait, zeroJobDur)
+	maps.DeleteFunc(r.JobEnd, zeroJobDur)
+	maps.DeleteFunc(r.JobGrants, func(_ int, n int) bool { return n == 0 })
+	maps.DeleteFunc(r.SlotFree, func(_ string, free []time.Duration) bool {
+		return !slices.ContainsFunc(free, func(d time.Duration) bool { return d != 0 })
+	})
+	r.JobResBusy = nil
+	return r
+}
+
+// TestRunMatchesReference: over 10,000 random task sets, with and without
+// a batch policy, on one to three machines, Run over indices computes what
+// the string-keyed reference does — every field of the Result, Batches
+// included.
+func TestRunMatchesReference(t *testing.T) {
 	sets := 10000
 	if testing.Short() {
 		sets = 1000
 	}
-	rng := rand.New(rand.NewSource(23))
+	rng := rand.New(rand.NewSource(24))
+	coalesced := 0
 	for i := 0; i < sets; i++ {
-		machines := 1 + rng.Intn(3)
-		s := NewCluster(machines, 1+rng.Intn(3))
+		machines, slots := 1+rng.Intn(3), 1+rng.Intn(3)
+		s, rs := NewCluster(machines, slots), refNewCluster(machines, slots)
 		batched := i%2 == 1
 		if batched {
 			s.Batching = &BatchPolicy{
@@ -470,16 +678,29 @@ func TestRunMatchesContainerHeapReference(t *testing.T) {
 				FairnessCap: time.Duration(rng.Intn(3)) * 300 * time.Millisecond,
 				MaxBatch:    1 + rng.Intn(4),
 			}
+			rs.Batching = s.Batching
 		}
-		tasks := randomTasks(rng, machines, batched)
-		got, gotErr := s.Run(tasks)
-		want, wantErr := s.refRun(tasks)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("set %d: Run error %v, reference %v", i, gotErr, wantErr)
+		ref := randomTasks(rng, machines, batched)
+		tasks := indexed(ref)
+		res, err := s.Run(tasks)
+		want, wantErr := rs.refRun(ref)
+		if err != nil || wantErr != nil {
+			t.Fatalf("set %d: Run error %v, reference %v", i, err, wantErr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("set %d (batched=%v): Run differs from the container/heap reference:\n got %+v\nwant %+v", i, batched, got, want)
+		if len(want.Finish) != len(tasks) {
+			t.Fatalf("set %d: the reference finished %d of %d tasks", i, len(want.Finish), len(tasks))
 		}
+		if got, want := dropZeros(named(res, tasks)), dropZeros(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d (batched=%v): Run differs from the reference:\n got %+v\nwant %+v", i, batched, got, want)
+		}
+		for _, g := range res.Batches {
+			if len(g.Members) > 1 {
+				coalesced++
+			}
+		}
+	}
+	if coalesced < sets/10 {
+		t.Errorf("only %d multi-member batches in %d sets: the draw no longer exercises coalescing", coalesced, sets)
 	}
 }
 
@@ -487,7 +708,7 @@ func TestRunMatchesContainerHeapReference(t *testing.T) {
 // more units costs no more allocations than the slices that hold them.
 func TestRunHeapsDoNotBox(t *testing.T) {
 	graph := func(units int) []Task {
-		t := Task{ID: "scan"}
+		t := Task{Label: "scan"}
 		for i := 0; i < units; i++ {
 			t.Units = append(t.Units, u(100))
 		}

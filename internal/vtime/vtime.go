@@ -4,24 +4,28 @@
 // instances; LLM call time dominates and is proportional to output tokens.
 // Rather than sleeping, this reproduction records every LLM call and every
 // pre-programmed computation as work units, then list-schedules them on a
-// model of the machine: a slot-limited "llm" resource pool plus an
-// unlimited CPU resource. The resulting makespan is the simulated latency.
-// Deterministic tie-breaking makes latencies reproducible bit-for-bit.
+// model of the machine: a slot-limited LLM pool per machine plus unlimited
+// CPU. The resulting makespan is the simulated latency. Deterministic
+// tie-breaking makes latencies reproducible bit-for-bit.
+//
+// Identity is positional: a task is its index in the slice handed to Run,
+// a machine and a job are numbers, and results are slices over them.
 package vtime
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 )
 
 // Unit is one indivisible piece of work: a single LLM invocation (possibly
 // covering a batched prompt) or a block of programmed computation.
 type Unit struct {
-	Dur      time.Duration
-	Resource string // "" means unlimited (CPU-style) resource
+	Dur time.Duration
+	// Pool is the slot pool the unit waits for and occupies: OnMachine(m)
+	// for an LLM call served by machine m. The zero Pool is programmed
+	// computation, which needs no slot.
+	Pool Pool
 
 	// Batch carries the unit's continuous-batching cost decomposition.
 	// Nil units never coalesce. Ignored unless the schedule has a
@@ -29,12 +33,18 @@ type Unit struct {
 	Batch *BatchSpec
 }
 
+// Pool names a slot pool by machine: zero is no pool, 1+m is machine m's.
+type Pool int
+
+// OnMachine is the LLM slot pool of machine m (numbered from 0).
+func OnMachine(m int) Pool { return Pool(m + 1) }
+
 // BatchSpec decomposes a batchable LLM call's duration into the parts
 // the continuous-batching cost model combines. The parts sum to the
 // unit's Dur, so a batch of one costs exactly the unbatched duration.
 type BatchSpec struct {
 	// Key is the co-scheduling compatibility key (task family + model +
-	// prompt template). Only units with equal keys on the same resource
+	// prompt template). Only units with equal keys on the same machine
 	// may share an invocation.
 	Key string
 	// Base is the fixed per-invocation overhead — paid once per batch.
@@ -88,8 +98,8 @@ type BatchPolicy struct {
 // that occupied the slot and every member call folded into it. Grants
 // with a single member ran unbatched at exactly their solo duration.
 type BatchGrant struct {
-	Resource string
-	Key      string
+	Machine int
+	Key     string
 	// GrantAt is the instant the slot was granted to the leader;
 	// Start is the batch's actual start after hold-the-door deferral
 	// (Start − GrantAt ≤ the policy window); Dur is the batched
@@ -104,7 +114,7 @@ type BatchGrant struct {
 
 // BatchMember is one call inside a batched invocation.
 type BatchMember struct {
-	Task string
+	Task int // index into the slice handed to Run
 	Job  int
 	// Ready is when the unit became eligible; Wait = Start − Ready is
 	// its slot-grant delay; Solo is its unbatched duration; Share is
@@ -120,26 +130,31 @@ type BatchMember struct {
 // Units of a task may run concurrently unless Sequential is set. A task
 // becomes ready when all its dependencies have fully completed.
 type Task struct {
-	ID         string
-	Deps       []string
+	// Label names the task in error text and test goldens. Nothing is
+	// keyed by it and production leaves it empty.
+	Label string
+	// Deps are the tasks this one waits for, as indices into the slice
+	// handed to Run (in any order; forward references are fine).
+	Deps       []int
 	Units      []Unit
 	Sequential bool // units must run one after another (chained prompts)
 
-	// Job identifies the owning query in a multi-query schedule. Tasks of
-	// one job form a per-query FIFO; when units of different jobs become
-	// ready at the same instant, slot grants round-robin across jobs (the
-	// unit that has had the fewest earlier grants in its own job wins).
-	// Single-job schedules (all zero) behave exactly as before.
+	// Job identifies the owning query in a multi-query schedule (>= 0).
+	// Tasks of one job form a per-query FIFO; when units of different jobs
+	// become ready at the same instant, slot grants round-robin across jobs
+	// (the unit that has had the fewest earlier grants in its own job
+	// wins). Single-job schedules (all zero) behave exactly as before.
 	Job int
 	// Priority breaks ready-time ties before the fair queue: units of a
 	// higher-priority job are granted first.
 	Priority int
 }
 
-// Schedule is a machine model: capacity per named resource. Resources not
-// present are treated as unlimited.
+// Schedule is a machine model: identical machines, each with its own LLM
+// slots, on one virtual clock. A unit naming a machine the model lacks
+// finds no slots to wait for and runs as programmed work does.
 type Schedule struct {
-	Capacity map[string]int
+	machines, slots int
 
 	// Batching, when non-nil, lets compatible units of DIFFERENT jobs
 	// coalesce into one slot grant (continuous batching). Formation is a
@@ -148,87 +163,39 @@ type Schedule struct {
 	Batching *BatchPolicy
 }
 
-// NewSchedule returns a machine model with the given number of LLM slots.
-func NewSchedule(llmSlots int) *Schedule {
-	if llmSlots < 1 {
-		llmSlots = 1
-	}
-	return &Schedule{Capacity: map[string]int{ResourceLLM: llmSlots}}
-}
+// NewSchedule returns a one-machine model with llmSlots LLM slots.
+func NewSchedule(llmSlots int) *Schedule { return NewCluster(1, llmSlots) }
 
-// ResourceLLM is the canonical resource name for LLM server slots.
-const ResourceLLM = "llm"
-
-// MachineResource names the LLM slot resource of one machine in a
-// simulated cluster. Machine 0 keeps the canonical "llm" name, so a
-// one-machine cluster is byte-identical to the single-machine model.
-func MachineResource(m int) string {
-	if m <= 0 {
-		return ResourceLLM
-	}
-	return fmt.Sprintf("llm@%d", m)
-}
-
-// NewCluster returns a machine model for an M-machine cluster: each
-// machine contributes slotsPer LLM slots as its own limited resource,
-// all sharing one virtual clock. NewCluster(1, s) is NewSchedule(s).
+// NewCluster returns a machine model for an M-machine cluster with
+// slotsPer LLM slots on each machine.
 func NewCluster(machines, slotsPer int) *Schedule {
-	if machines < 1 {
-		machines = 1
-	}
-	if slotsPer < 1 {
-		slotsPer = 1
-	}
-	cap := make(map[string]int, machines)
-	for m := 0; m < machines; m++ {
-		cap[MachineResource(m)] = slotsPer
-	}
-	return &Schedule{Capacity: cap}
+	return &Schedule{machines: max(machines, 1), slots: max(slotsPer, 1)}
 }
 
-// MachineOf reports which cluster machine a resource name belongs to
-// (false for unlimited CPU-style resources).
-func MachineOf(resource string) (int, bool) {
-	if resource == ResourceLLM {
-		return 0, true
-	}
-	if strings.HasPrefix(resource, "llm@") {
-		if m, err := strconv.Atoi(resource[len("llm@"):]); err == nil && m > 0 {
-			return m, true
-		}
-	}
-	return 0, false
+// JobStats is one job's share of a schedule.
+type JobStats struct {
+	// Busy is the job's slot busy time (a batched invocation is split over
+	// its members by solo-duration-weighted shares); Wait its total delay
+	// from unit ready to slot grant; End its last task's completion.
+	Busy, Wait time.Duration
+	Grants     int
+	End        time.Duration
 }
 
 // Result reports the outcome of scheduling a task graph.
 type Result struct {
 	Makespan time.Duration
-	// Finish maps task ID to its completion time.
-	Finish map[string]time.Duration
-	// Busy maps resource name to total busy time across slots.
-	Busy map[string]time.Duration
-
-	// JobBusy, JobWait, JobGrants, and JobEnd break the schedule down per
-	// job for multi-query runs: slot busy time, total slot-grant delay
-	// (grant start minus unit ready) on limited resources, number of slot
-	// grants, and last task completion.
-	JobBusy   map[int]time.Duration
-	JobWait   map[int]time.Duration
-	JobGrants map[int]int
-	JobEnd    map[int]time.Duration
-
-	// TaskWait breaks the slot-grant delay down per task, attributing
-	// contention to individual operators (sums to the JobWait totals).
-	TaskWait map[string]time.Duration
-
-	// JobResBusy breaks each job's slot busy time down per limited
-	// resource (machine), attributing a batched invocation's duration to
-	// its members by solo-duration-weighted shares.
-	JobResBusy map[int]map[string]time.Duration
-
-	// SlotFree reports, per limited resource, the time each slot becomes
-	// free after the schedule (ascending). Unlimited resources are absent.
-	SlotFree map[string][]time.Duration
+	// Finish is each task's completion time and TaskWait its slot-grant
+	// delay (summing to the jobs' Wait), both by task index.
+	Finish   []time.Duration
+	TaskWait []time.Duration
+	// Jobs is the per-job breakdown, by job number.
+	Jobs []JobStats
+	// Busy is each machine's total busy time across its slots, and
+	// SlotFree the times its slots become free after the schedule
+	// (ascending), both by machine number.
+	Busy     []time.Duration
+	SlotFree [][]time.Duration
 
 	// Batches records every slot grant of a batchable unit (including
 	// single-member grants) in grant order. Empty without a BatchPolicy.
@@ -322,226 +289,189 @@ func (h *minHeap[T]) down(i, n int) {
 
 func durLess(a, b time.Duration) bool { return a < b }
 
-// jobCount bounds the number of distinct jobs among tasks from above: the
-// span of their job numbers, or the task count when those are sparse.
-func jobCount(tasks []Task) int {
-	if len(tasks) == 0 {
-		return 0
+// run is the state of one Run.
+type run struct {
+	s     *Schedule
+	tasks []Task
+	res   Result
+
+	indeg     []int   // unfinished dependencies per task
+	succ      [][]int // dependents per task, in task order
+	remaining []int   // unfinished units per task
+	started   []bool
+	done      int // completed tasks
+
+	free []minHeap[time.Duration] // per machine: slot free times
+	pend minHeap[pendingUnit]
+	seq  []int // per-job FIFO sequence counters
+}
+
+// name is task i's label for error text.
+func (r *run) name(i int) string {
+	if l := r.tasks[i].Label; l != "" {
+		return l
 	}
-	lo, hi := tasks[0].Job, tasks[0].Job
-	for _, t := range tasks[1:] {
-		lo, hi = min(lo, t.Job), max(hi, t.Job)
-	}
-	if n := hi - lo + 1; n > 0 && n < len(tasks) {
-		return n
-	}
-	return len(tasks)
+	return fmt.Sprintf("#%d", i)
 }
 
 // Run schedules the task graph and returns its makespan. It returns an
 // error on unknown dependencies or dependency cycles.
 func (s *Schedule) Run(tasks []Task) (Result, error) {
-	idx := make(map[string]int, len(tasks))
-	for i, t := range tasks {
-		if _, dup := idx[t.ID]; dup {
-			return Result{}, fmt.Errorf("vtime: duplicate task %q", t.ID)
-		}
-		idx[t.ID] = i
+	n := len(tasks)
+	r := run{
+		s: s, tasks: tasks,
+		indeg: make([]int, n), succ: make([][]int, n), remaining: make([]int, n), started: make([]bool, n),
+		free: make([]minHeap[time.Duration], s.machines),
+		pend: minHeap[pendingUnit]{less: unitLess},
 	}
-	indeg := make([]int, len(tasks))
-	succ := make([][]int, len(tasks))
+	jobs := 0
 	for i, t := range tasks {
+		if t.Job < 0 {
+			return Result{}, fmt.Errorf("vtime: task %s has negative job %d", r.name(i), t.Job)
+		}
+		jobs = max(jobs, t.Job+1)
+		r.remaining[i] = len(t.Units)
 		for _, d := range t.Deps {
-			j, ok := idx[d]
-			if !ok {
-				return Result{}, fmt.Errorf("vtime: task %q depends on unknown task %q", t.ID, d)
+			if d < 0 || d >= n {
+				return Result{}, fmt.Errorf("vtime: task %s depends on unknown task %d", r.name(i), d)
 			}
-			indeg[i]++
-			succ[j] = append(succ[j], i)
+			r.indeg[i]++
+			r.succ[d] = append(r.succ[d], i)
 		}
 	}
-
-	// State per task.
-	remaining := make([]int, len(tasks)) // unfinished units
-	nextUnit := make([]int, len(tasks))  // for sequential tasks
-	taskReady := make([]time.Duration, len(tasks))
-	finish := make([]time.Duration, len(tasks))
-	started := make([]bool, len(tasks))
-	for i, t := range tasks {
-		remaining[i] = len(t.Units)
+	r.seq = make([]int, jobs)
+	// Every slot is free at zero, which is a heap already.
+	slotFree := make([]time.Duration, s.machines*s.slots)
+	for m := range r.free {
+		r.free[m] = minHeap[time.Duration]{items: slotFree[m*s.slots : (m+1)*s.slots : (m+1)*s.slots], less: durLess}
 	}
-
-	// Resource state: per resource, a min-heap of slot free times (all
-	// zero to begin with, which is a heap already).
-	free := make(map[string]*minHeap[time.Duration], len(s.Capacity))
-	slotHeap := func(res string) *minHeap[time.Duration] {
-		h, ok := free[res]
-		if !ok {
-			cap, limited := s.Capacity[res]
-			if !limited {
-				return nil // unlimited
-			}
-			h = &minHeap[time.Duration]{items: make([]time.Duration, cap), less: durLess}
-			free[res] = h
-		}
-		return h
-	}
-
-	// The result maps are sized up front: one entry per task, per job or
-	// per limited resource.
-	jobs := jobCount(tasks)
-	pend := &minHeap[pendingUnit]{less: unitLess}
-	seqs := make(map[int]int, jobs) // per-job FIFO sequence counters
-	enqueueTask := func(i int, at time.Duration) {
-		started[i] = true
-		taskReady[i] = at
-		t := &tasks[i]
-		if len(t.Units) == 0 {
-			return // completed immediately; handled by caller
-		}
-		if t.Sequential {
-			pend.push(pendingUnit{i, 0, at, t.Priority, seqs[t.Job], t.Job})
-			seqs[t.Job]++
-			nextUnit[i] = 0
-			return
-		}
-		for u := range t.Units {
-			pend.push(pendingUnit{i, u, at, t.Priority, seqs[t.Job], t.Job})
-			seqs[t.Job]++
-		}
-	}
-
-	busy := make(map[string]time.Duration, len(s.Capacity))
-	res := Result{
-		Finish:     make(map[string]time.Duration, len(tasks)),
-		Busy:       busy,
-		JobBusy:    make(map[int]time.Duration, jobs),
-		JobWait:    make(map[int]time.Duration, jobs),
-		JobGrants:  make(map[int]int, jobs),
-		JobEnd:     make(map[int]time.Duration, jobs),
-		TaskWait:   make(map[string]time.Duration, len(tasks)),
-		JobResBusy: make(map[int]map[string]time.Duration, jobs),
-	}
-	jobResBusy := func(job int, resName string, d time.Duration) {
-		m := res.JobResBusy[job]
-		if m == nil {
-			m = make(map[string]time.Duration, len(s.Capacity))
-			res.JobResBusy[job] = m
-		}
-		m[resName] += d
-	}
-
-	// completeTask marks a task finished at time t and releases successors.
-	var completeTask func(i int, t time.Duration)
-	completeTask = func(i int, t time.Duration) {
-		started[i] = true
-		finish[i] = t
-		res.Finish[tasks[i].ID] = t
-		if t > res.Makespan {
-			res.Makespan = t
-		}
-		if t > res.JobEnd[tasks[i].Job] {
-			res.JobEnd[tasks[i].Job] = t
-		}
-		for _, nxt := range succ[i] {
-			indeg[nxt]--
-			if indeg[nxt] == 0 {
-				// Ready time is the max finish of all deps.
-				at := time.Duration(0)
-				for _, d := range tasks[nxt].Deps {
-					if f := finish[idx[d]]; f > at {
-						at = f
-					}
-				}
-				if remaining[nxt] == 0 {
-					completeTask(nxt, at)
-				} else {
-					enqueueTask(nxt, at)
-				}
-			}
-		}
+	r.res = Result{
+		Finish:   make([]time.Duration, n),
+		TaskWait: make([]time.Duration, n),
+		Jobs:     make([]JobStats, jobs),
+		Busy:     make([]time.Duration, s.machines),
+		SlotFree: make([][]time.Duration, s.machines),
 	}
 
 	// Seed roots deterministically in declaration order. Tasks already
 	// released by a zero-unit root's completion are skipped.
 	for i := range tasks {
-		if indeg[i] == 0 && !started[i] {
-			if remaining[i] == 0 {
-				completeTask(i, 0)
-			} else {
-				enqueueTask(i, 0)
-			}
+		if r.indeg[i] == 0 && !r.started[i] {
+			r.release(i, 0)
 		}
 	}
 
-	scheduled := 0
-	total := 0
-	for i := range tasks {
-		total += len(tasks[i].Units)
-	}
-
-	for len(pend.items) > 0 {
-		pu := pend.pop()
-		t := &tasks[pu.taskIdx]
-		u := t.Units[pu.unitIdx]
-		start := pu.ready
-		h := slotHeap(u.Resource)
-		if h != nil {
-			if slotFree := h.pop(); slotFree > start {
-				start = slotFree
-			}
-		}
-
-		if h != nil && s.Batching != nil && u.Batch != nil && u.Batch.Key != "" {
-			// Continuous batching: this slot grant may absorb compatible
-			// pending units of other jobs. The helper pushes the slot's
-			// next free time and performs all accounting for the members.
-			s.grantBatch(pu, u, start, h, pend, tasks, seqs, remaining, finish, busy, &res, jobResBusy, completeTask, &scheduled)
+	for len(r.pend.items) > 0 {
+		pu := r.pend.pop()
+		u := tasks[pu.taskIdx].Units[pu.unitIdx]
+		h := r.slotsOf(u.Pool)
+		if h == nil {
+			r.unitDone(pu, pu.ready+u.Dur)
 			continue
 		}
-
-		end := start + u.Dur
-		if h != nil {
-			h.push(end)
-			busy[u.Resource] += u.Dur
-			res.JobBusy[t.Job] += u.Dur
-			jobResBusy(t.Job, u.Resource, u.Dur)
-			res.JobWait[t.Job] += start - pu.ready
-			res.TaskWait[t.ID] += start - pu.ready
-			res.JobGrants[t.Job]++
+		start := max(pu.ready, h.pop())
+		if s.Batching != nil && u.Batch != nil && u.Batch.Key != "" {
+			// Continuous batching: this slot grant may absorb compatible
+			// pending units of other jobs.
+			r.grantBatch(pu, u, start, h)
+			continue
 		}
-		scheduled++
-		remaining[pu.taskIdx]--
-		if t.Sequential && pu.unitIdx+1 < len(t.Units) {
-			pend.push(pendingUnit{pu.taskIdx, pu.unitIdx + 1, end, t.Priority, seqs[t.Job], t.Job})
-			seqs[t.Job]++
-		}
-		if end > finish[pu.taskIdx] {
-			finish[pu.taskIdx] = end
-		}
-		if remaining[pu.taskIdx] == 0 {
-			completeTask(pu.taskIdx, finish[pu.taskIdx])
-		}
+		h.push(start + u.Dur)
+		r.res.Busy[u.Pool-1] += u.Dur
+		r.account(pu.taskIdx, u.Dur, start-pu.ready)
+		r.unitDone(pu, start+u.Dur)
 	}
 
-	if scheduled != total {
+	if r.done != n {
 		// Some tasks never became ready: there is a dependency cycle.
 		var stuck []string
 		for i := range tasks {
-			if !started[i] && remaining[i] > 0 {
-				stuck = append(stuck, tasks[i].ID)
+			if !r.started[i] {
+				stuck = append(stuck, r.name(i))
 			}
 		}
-		sort.Strings(stuck)
 		return Result{}, fmt.Errorf("vtime: dependency cycle involving %v", stuck)
 	}
-	res.SlotFree = make(map[string][]time.Duration, len(free))
-	for name, h := range free {
-		times := append([]time.Duration(nil), h.items...)
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		res.SlotFree[name] = times
+	for m := range r.free {
+		slices.Sort(r.free[m].items)
+		r.res.SlotFree[m] = r.free[m].items
 	}
-	return res, nil
+	return r.res, nil
+}
+
+// slotsOf returns pool p's slot free times, nil when p needs no slot.
+func (r *run) slotsOf(p Pool) *minHeap[time.Duration] {
+	if p < 1 || int(p) > len(r.free) {
+		return nil
+	}
+	return &r.free[p-1]
+}
+
+// release starts task i, whose dependencies have all completed by at.
+func (r *run) release(i int, at time.Duration) {
+	r.started[i] = true
+	t := &r.tasks[i]
+	switch {
+	case len(t.Units) == 0:
+		r.complete(i, at)
+	case t.Sequential:
+		r.enqueue(i, 0, at)
+	default:
+		for u := range t.Units {
+			r.enqueue(i, u, at)
+		}
+	}
+}
+
+// enqueue makes unit u of task i eligible for a slot at ready.
+func (r *run) enqueue(i, u int, ready time.Duration) {
+	t := &r.tasks[i]
+	r.pend.push(pendingUnit{i, u, ready, t.Priority, r.seq[t.Job], t.Job})
+	r.seq[t.Job]++
+}
+
+// account charges one slot grant to its task and job.
+func (r *run) account(i int, busy, wait time.Duration) {
+	j := &r.res.Jobs[r.tasks[i].Job]
+	j.Busy += busy
+	j.Wait += wait
+	j.Grants++
+	r.res.TaskWait[i] += wait
+}
+
+// unitDone records that a unit ends at end: a sequential task's next unit
+// becomes eligible then, and a task whose last unit it was completes.
+func (r *run) unitDone(pu pendingUnit, end time.Duration) {
+	i := pu.taskIdx
+	t := &r.tasks[i]
+	r.remaining[i]--
+	if t.Sequential && pu.unitIdx+1 < len(t.Units) {
+		r.enqueue(i, pu.unitIdx+1, end)
+	}
+	r.res.Finish[i] = max(r.res.Finish[i], end)
+	if r.remaining[i] == 0 {
+		r.complete(i, r.res.Finish[i])
+	}
+}
+
+// complete marks task i finished at time at and releases its successors.
+func (r *run) complete(i int, at time.Duration) {
+	r.done++
+	r.res.Finish[i] = at
+	r.res.Makespan = max(r.res.Makespan, at)
+	j := &r.res.Jobs[r.tasks[i].Job]
+	j.End = max(j.End, at)
+	for _, nxt := range r.succ[i] {
+		r.indeg[nxt]--
+		if r.indeg[nxt] == 0 {
+			// Ready time is the max finish of all deps.
+			var ready time.Duration
+			for _, d := range r.tasks[nxt].Deps {
+				ready = max(ready, r.res.Finish[d])
+			}
+			r.release(nxt, ready)
+		}
+	}
 }
 
 // batchedDur is the continuous-batching cost model: a k-member batch
@@ -554,66 +484,41 @@ func batchedDur(maxBase, maxTmpl, maxDecode, sumPayload time.Duration, k int) ti
 	return maxBase + maxTmpl + sumPayload + scaled
 }
 
-// payloadCharge returns the payload prefill a joining member adds to a
-// batch whose per-key payload maxima are in groups. A member whose
-// PayloadKey another member already brought charges only its excess over
-// the largest same-key payload (zero for the identical payloads the key
-// guarantees in practice); unique and keyless payloads charge in full.
-func payloadCharge(groups map[string]time.Duration, sp *BatchSpec) time.Duration {
+// payloadCharge returns the payload prefill sp adds to a batch of members.
+// A member whose PayloadKey another member already brought charges only
+// its excess over the largest same-key payload (zero for the identical
+// payloads the key guarantees in practice); unique and keyless payloads
+// charge in full.
+func (r *run) payloadCharge(members []pendingUnit, sp *BatchSpec) time.Duration {
+	charge := sp.PayloadPrefill
 	if sp.PayloadKey == "" {
-		return sp.PayloadPrefill
+		return charge
 	}
-	if prev, ok := groups[sp.PayloadKey]; ok {
-		if sp.PayloadPrefill > prev {
-			return sp.PayloadPrefill - prev
+	for _, m := range members {
+		if mb := r.unit(m).Batch; mb.PayloadKey == sp.PayloadKey {
+			charge = min(charge, max(sp.PayloadPrefill-mb.PayloadPrefill, 0))
 		}
-		return 0
 	}
-	return sp.PayloadPrefill
+	return charge
 }
 
-// payloadCommit records a member's payload in groups after it joins.
-func payloadCommit(groups map[string]time.Duration, sp *BatchSpec) {
-	if sp.PayloadKey == "" {
-		return
-	}
-	if prev, ok := groups[sp.PayloadKey]; !ok || sp.PayloadPrefill > prev {
-		groups[sp.PayloadKey] = sp.PayloadPrefill
-	}
-}
+// unit is the unit a pending entry stands for.
+func (r *run) unit(c pendingUnit) Unit { return r.tasks[c.taskIdx].Units[c.unitIdx] }
 
 // grantBatch handles one slot grant of a batchable unit under a
 // BatchPolicy: it selects co-schedulable pending units of other jobs
-// (same key and resource, ready within the hold-the-door window, taken
+// (same key and machine, ready within the hold-the-door window, taken
 // in the deterministic grant order), removes them from the pending
 // queue, and schedules the whole batch as a single invocation. grantAt
 // is the instant the slot was granted to the leader (slot free time
 // already applied). Selection is greedy with two guards: a member joins
 // only if it strictly shrinks total busy time versus running solo, and
 // only while the batch duration respects the fairness cap.
-func (s *Schedule) grantBatch(
-	pu pendingUnit, u Unit, grantAt time.Duration, h *minHeap[time.Duration],
-	pend *minHeap[pendingUnit], tasks []Task, seqs map[int]int,
-	remaining []int, finish []time.Duration,
-	busy map[string]time.Duration, res *Result,
-	jobResBusy func(int, string, time.Duration),
-	completeTask func(int, time.Duration), scheduled *int,
-) {
-	p := s.Batching
-	maxMembers := p.MaxBatch
-	if maxMembers < 1 {
-		maxMembers = 1
-	}
-	type memberRef struct {
-		pu   pendingUnit
-		unit Unit
-	}
-	members := []memberRef{{pu, u}}
-	jobsIn := map[int]bool{tasks[pu.taskIdx].Job: true}
+func (r *run) grantBatch(pu pendingUnit, u Unit, grantAt time.Duration, h *minHeap[time.Duration]) {
+	p := r.s.Batching
+	members := []pendingUnit{pu}
 	maxBase, maxTmpl, maxDecode := u.Batch.Base, u.Batch.TemplatePrefill, u.Batch.Decode
 	sumPayload := u.Batch.PayloadPrefill
-	payloads := map[string]time.Duration{}
-	payloadCommit(payloads, u.Batch)
 	// The fairness cap never undercuts the leader's own solo duration:
 	// a call too big to fit the cap alone still has to run.
 	capLimit := p.FairnessCap
@@ -621,72 +526,62 @@ func (s *Schedule) grantBatch(
 		capLimit = u.Dur
 	}
 
-	if maxMembers > 1 {
+	if p.MaxBatch > 1 {
 		windowEnd := grantAt + p.Window
 		var cands []pendingUnit
-		for _, c := range pend.items {
-			cu := tasks[c.taskIdx].Units[c.unitIdx]
-			if cu.Batch == nil || cu.Batch.Key != u.Batch.Key || cu.Resource != u.Resource {
+		for _, c := range r.pend.items {
+			cu := r.unit(c)
+			if cu.Batch == nil || cu.Batch.Key != u.Batch.Key || cu.Pool != u.Pool {
 				continue
 			}
-			if c.ready > windowEnd || jobsIn[c.job] {
+			if c.ready > windowEnd || c.job == pu.job {
 				continue
 			}
 			cands = append(cands, c)
 		}
-		sort.Slice(cands, func(i, j int) bool { return unitLess(cands[i], cands[j]) })
-		taken := make(map[[2]int]bool)
+		slices.SortFunc(cands, func(a, b pendingUnit) int {
+			if unitLess(a, b) {
+				return -1
+			}
+			return 1
+		})
 		for _, c := range cands {
-			if len(members) >= maxMembers {
+			if len(members) >= p.MaxBatch {
 				break
 			}
-			if jobsIn[c.job] { // one unit per job: cross-query batching only
-				continue
+			if slices.ContainsFunc(members, func(m pendingUnit) bool { return m.job == c.job }) {
+				continue // one unit per job: batching is cross-query only
 			}
-			cu := tasks[c.taskIdx].Units[c.unitIdx]
-			nb, nt, nd := maxBase, maxTmpl, maxDecode
-			if cu.Batch.Base > nb {
-				nb = cu.Batch.Base
-			}
-			if cu.Batch.TemplatePrefill > nt {
-				nt = cu.Batch.TemplatePrefill
-			}
-			if cu.Batch.Decode > nd {
-				nd = cu.Batch.Decode
-			}
-			np := sumPayload + payloadCharge(payloads, cu.Batch)
+			cb := r.unit(c).Batch
+			nb, nt, nd := max(maxBase, cb.Base), max(maxTmpl, cb.TemplatePrefill), max(maxDecode, cb.Decode)
+			np := sumPayload + r.payloadCharge(members, cb)
 			newD := batchedDur(nb, nt, nd, np, len(members)+1)
-			if newD-batchedDur(maxBase, maxTmpl, maxDecode, sumPayload, len(members)) >= cu.Dur {
+			if newD-batchedDur(maxBase, maxTmpl, maxDecode, sumPayload, len(members)) >= r.unit(c).Dur {
 				continue // joining would not shrink total busy time
 			}
 			if capLimit > 0 && newD > capLimit {
 				continue
 			}
 			maxBase, maxTmpl, maxDecode, sumPayload = nb, nt, nd, np
-			payloadCommit(payloads, cu.Batch)
-			members = append(members, memberRef{c, cu})
-			jobsIn[c.job] = true
-			taken[[2]int{c.taskIdx, c.unitIdx}] = true
+			members = append(members, c)
 		}
-		if len(taken) > 0 {
-			kept := pend.items[:0]
-			for _, c := range pend.items {
-				if !taken[[2]int{c.taskIdx, c.unitIdx}] {
-					kept = append(kept, c)
-				}
-			}
-			pend.items = kept
-			pend.init()
+		if len(members) > 1 {
+			r.pend.items = slices.DeleteFunc(r.pend.items, func(c pendingUnit) bool {
+				return slices.ContainsFunc(members, func(m pendingUnit) bool {
+					return m.taskIdx == c.taskIdx && m.unitIdx == c.unitIdx
+				})
+			})
+			r.pend.init()
 		}
 	}
 
 	// Hold the door: the batch starts once its latest member is ready
 	// (bounded by grantAt + Window through candidate eligibility).
 	bstart := grantAt
+	var wsum time.Duration
 	for _, m := range members {
-		if m.pu.ready > bstart {
-			bstart = m.pu.ready
-		}
+		bstart = max(bstart, m.ready)
+		wsum += r.unit(m).Dur
 	}
 	D := batchedDur(maxBase, maxTmpl, maxDecode, sumPayload, len(members))
 	if len(members) == 1 {
@@ -696,55 +591,33 @@ func (s *Schedule) grantBatch(
 	}
 	end := bstart + D
 	h.push(end)
-	busy[u.Resource] += D
+	r.res.Busy[u.Pool-1] += D
 
 	// Attribute the invocation to members by solo-duration-weighted
 	// shares; the rounding residue lands on the leader so the shares sum
 	// exactly to D (conservation invariant).
-	var wsum time.Duration
-	for _, m := range members {
-		wsum += m.unit.Dur
-	}
-	shares := make([]time.Duration, len(members))
-	var ssum time.Duration
+	grant := BatchGrant{Machine: int(u.Pool) - 1, Key: u.Batch.Key, GrantAt: grantAt, Start: bstart, Dur: D,
+		Members: make([]BatchMember, len(members))}
+	residue := D
 	for i, m := range members {
+		solo := r.unit(m).Dur
+		var share time.Duration
 		if wsum > 0 {
-			shares[i] = time.Duration(float64(D) * float64(m.unit.Dur) / float64(wsum))
+			share = time.Duration(float64(D) * float64(solo) / float64(wsum))
 		}
-		ssum += shares[i]
+		residue -= share
+		grant.Members[i] = BatchMember{Task: m.taskIdx, Job: m.job, Ready: m.ready, Wait: bstart - m.ready, Solo: solo, Share: share}
 	}
-	shares[0] += D - ssum
-
-	grant := BatchGrant{Resource: u.Resource, Key: u.Batch.Key, GrantAt: grantAt, Start: bstart, Dur: D}
+	grant.Members[0].Share += residue
 	for i, m := range members {
-		mt := &tasks[m.pu.taskIdx]
-		wait := bstart - m.pu.ready
-		res.JobBusy[mt.Job] += shares[i]
-		jobResBusy(mt.Job, u.Resource, shares[i])
-		res.JobWait[mt.Job] += wait
-		res.TaskWait[mt.ID] += wait
-		res.JobGrants[mt.Job]++
-		grant.Members = append(grant.Members, BatchMember{
-			Task: mt.ID, Job: mt.Job, Ready: m.pu.ready, Wait: wait, Solo: m.unit.Dur, Share: shares[i],
-		})
-		*scheduled++
-		remaining[m.pu.taskIdx]--
-		if mt.Sequential && m.pu.unitIdx+1 < len(mt.Units) {
-			pend.push(pendingUnit{m.pu.taskIdx, m.pu.unitIdx + 1, end, mt.Priority, seqs[mt.Job], mt.Job})
-			seqs[mt.Job]++
-		}
-		if end > finish[m.pu.taskIdx] {
-			finish[m.pu.taskIdx] = end
-		}
-		if remaining[m.pu.taskIdx] == 0 {
-			completeTask(m.pu.taskIdx, finish[m.pu.taskIdx])
-		}
+		r.account(m.taskIdx, grant.Members[i].Share, grant.Members[i].Wait)
+		r.unitDone(m, end)
 	}
-	res.Batches = append(res.Batches, grant)
+	r.res.Batches = append(r.res.Batches, grant)
 }
 
 // Serial returns the makespan if every unit ran back-to-back on a single
-// slot — a lower-level bound used in unit tests.
+// slot: fully sequential execution, an upper bound on any schedule.
 func Serial(tasks []Task) time.Duration {
 	var total time.Duration
 	for _, t := range tasks {
@@ -753,25 +626,4 @@ func Serial(tasks []Task) time.Duration {
 		}
 	}
 	return total
-}
-
-// SerialOperators computes the makespan when OPERATORS run strictly one
-// after another (no DAG parallelism) while each operator still batches
-// its own calls across the slot pool — the Unify-noLO ablation of
-// Figure 5(a).
-func (s *Schedule) SerialOperators(tasks []Task) (time.Duration, error) {
-	chained := make([]Task, len(tasks))
-	for i, t := range tasks {
-		c := t
-		c.Deps = nil
-		if i > 0 {
-			c.Deps = []string{tasks[i-1].ID}
-		}
-		chained[i] = c
-	}
-	res, err := s.Run(chained)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
 }

@@ -1,18 +1,37 @@
 package vtime
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func u(ms int) Unit { return Unit{Dur: time.Duration(ms) * time.Millisecond, Resource: ResourceLLM} }
+func u(ms int) Unit { return Unit{Dur: time.Duration(ms) * time.Millisecond, Pool: OnMachine(0)} }
+
+// at resolves a task's label to the index Run knows it by. The tests write
+// their graphs by name; this is where names become indices.
+func at(tasks []Task, label string) int {
+	for i, t := range tasks {
+		if t.Label == label {
+			return i
+		}
+	}
+	panic("no task labelled " + label)
+}
+
+// after makes the task labelled label wait for the tasks labelled deps.
+func after(tasks []Task, label string, deps ...string) {
+	t := &tasks[at(tasks, label)]
+	for _, d := range deps {
+		t.Deps = append(t.Deps, at(tasks, d))
+	}
+}
 
 func TestSingleTask(t *testing.T) {
 	s := NewSchedule(4)
-	res, err := s.Run([]Task{{ID: "a", Units: []Unit{u(100)}}})
+	res, err := s.Run([]Task{{Label: "a", Units: []Unit{u(100)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +46,7 @@ func TestParallelUnitsLimitedBySlots(t *testing.T) {
 	for i := range units {
 		units[i] = u(100)
 	}
-	res, err := NewSchedule(4).Run([]Task{{ID: "a", Units: units}})
+	res, err := NewSchedule(4).Run([]Task{{Label: "a", Units: units}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +60,7 @@ func TestSequentialTask(t *testing.T) {
 	for i := range units {
 		units[i] = u(50)
 	}
-	res, err := NewSchedule(4).Run([]Task{{ID: "a", Units: units, Sequential: true}})
+	res, err := NewSchedule(4).Run([]Task{{Label: "a", Units: units, Sequential: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +71,12 @@ func TestSequentialTask(t *testing.T) {
 
 func TestDependencyChain(t *testing.T) {
 	tasks := []Task{
-		{ID: "a", Units: []Unit{u(100)}},
-		{ID: "b", Deps: []string{"a"}, Units: []Unit{u(100)}},
-		{ID: "c", Deps: []string{"b"}, Units: []Unit{u(100)}},
+		{Label: "a", Units: []Unit{u(100)}},
+		{Label: "b", Units: []Unit{u(100)}},
+		{Label: "c", Units: []Unit{u(100)}},
 	}
+	after(tasks, "b", "a")
+	after(tasks, "c", "b")
 	res, err := NewSchedule(4).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +84,7 @@ func TestDependencyChain(t *testing.T) {
 	if res.Makespan != 300*time.Millisecond {
 		t.Errorf("chain makespan = %v, want 300ms", res.Makespan)
 	}
-	if res.Finish["a"] != 100*time.Millisecond || res.Finish["c"] != 300*time.Millisecond {
+	if res.Finish[at(tasks, "a")] != 100*time.Millisecond || res.Finish[at(tasks, "c")] != 300*time.Millisecond {
 		t.Errorf("finish times %v", res.Finish)
 	}
 }
@@ -72,11 +93,14 @@ func TestDependencyChain(t *testing.T) {
 // is the critical path, not the sum.
 func TestDiamondParallelism(t *testing.T) {
 	tasks := []Task{
-		{ID: "src", Units: []Unit{u(50)}},
-		{ID: "left", Deps: []string{"src"}, Units: []Unit{u(200)}},
-		{ID: "right", Deps: []string{"src"}, Units: []Unit{u(150)}},
-		{ID: "sink", Deps: []string{"left", "right"}, Units: []Unit{u(50)}},
+		{Label: "src", Units: []Unit{u(50)}},
+		{Label: "left", Units: []Unit{u(200)}},
+		{Label: "right", Units: []Unit{u(150)}},
+		{Label: "sink", Units: []Unit{u(50)}},
 	}
+	after(tasks, "left", "src")
+	after(tasks, "right", "src")
+	after(tasks, "sink", "left", "right")
 	res, err := NewSchedule(4).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +118,7 @@ func TestSlotContentionAcrossTasks(t *testing.T) {
 	// Two independent tasks of 4x100ms units on 2 slots: 8 units total,
 	// 2 at a time -> 400ms.
 	mk := func(id string) Task {
-		return Task{ID: id, Units: []Unit{u(100), u(100), u(100), u(100)}}
+		return Task{Label: id, Units: []Unit{u(100), u(100), u(100), u(100)}}
 	}
 	res, err := NewSchedule(2).Run([]Task{mk("a"), mk("b")})
 	if err != nil {
@@ -110,7 +134,7 @@ func TestUnlimitedResource(t *testing.T) {
 	for i := range units {
 		units[i] = Unit{Dur: 100 * time.Millisecond} // no resource: unlimited
 	}
-	res, err := NewSchedule(1).Run([]Task{{ID: "cpu", Units: units}})
+	res, err := NewSchedule(1).Run([]Task{{Label: "cpu", Units: units}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +145,10 @@ func TestUnlimitedResource(t *testing.T) {
 
 func TestZeroUnitTasks(t *testing.T) {
 	tasks := []Task{
-		{ID: "a"},
-		{ID: "b", Deps: []string{"a"}, Units: []Unit{u(100)}},
+		{Label: "a"},
+		{Label: "b", Units: []Unit{u(100)}},
 	}
+	after(tasks, "b", "a")
 	res, err := NewSchedule(1).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -134,37 +159,60 @@ func TestZeroUnitTasks(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := NewSchedule(1).Run([]Task{{ID: "a"}, {ID: "a"}}); err == nil {
-		t.Error("duplicate task accepted")
+	for _, ghost := range []int{-1, 1} {
+		_, err := NewSchedule(1).Run([]Task{{Label: "a", Deps: []int{ghost}}})
+		if err == nil || !strings.Contains(err.Error(), "unknown task") {
+			t.Errorf("dependency on task %d of one: %v", ghost, err)
+		}
 	}
-	if _, err := NewSchedule(1).Run([]Task{{ID: "a", Deps: []string{"ghost"}}}); err == nil {
-		t.Error("unknown dependency accepted")
+	if _, err := NewSchedule(1).Run([]Task{{Label: "a", Job: -1}}); err == nil {
+		t.Error("negative job accepted")
 	}
 	cyc := []Task{
-		{ID: "a", Deps: []string{"b"}, Units: []Unit{u(10)}},
-		{ID: "b", Deps: []string{"a"}, Units: []Unit{u(10)}},
+		{Label: "a", Units: []Unit{u(10)}},
+		{Label: "b", Units: []Unit{u(10)}},
 	}
+	after(cyc, "a", "b")
+	after(cyc, "b", "a")
 	if _, err := NewSchedule(1).Run(cyc); err == nil {
 		t.Error("cycle accepted")
 	}
 }
 
+// TestZeroUnitCycle: a cycle among tasks that have no units is still a
+// cycle. Counting scheduled units missed it — there were none to miss — and
+// returned a Result without those tasks.
+func TestZeroUnitCycle(t *testing.T) {
+	tasks := []Task{
+		{Label: "root", Units: []Unit{u(10)}},
+		{Label: "a"},
+		{Label: "b"},
+	}
+	after(tasks, "a", "b")
+	after(tasks, "b", "a", "root")
+	_, err := NewSchedule(1).Run(tasks)
+	if err == nil || !strings.Contains(err.Error(), "cycle involving [a b]") {
+		t.Errorf("zero-unit cycle: err = %v", err)
+	}
+}
+
 func TestBusyAccounting(t *testing.T) {
-	res, err := NewSchedule(2).Run([]Task{{ID: "a", Units: []Unit{u(100), u(50)}}})
+	res, err := NewSchedule(2).Run([]Task{{Label: "a", Units: []Unit{u(100), u(50)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Busy[ResourceLLM] != 150*time.Millisecond {
-		t.Errorf("busy = %v, want 150ms", res.Busy[ResourceLLM])
+	if res.Busy[0] != 150*time.Millisecond {
+		t.Errorf("busy = %v, want 150ms", res.Busy[0])
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	tasks := []Task{
-		{ID: "a", Units: []Unit{u(30), u(70), u(20)}},
-		{ID: "b", Units: []Unit{u(40), u(10)}},
-		{ID: "c", Deps: []string{"a", "b"}, Units: []Unit{u(25)}},
+		{Label: "a", Units: []Unit{u(30), u(70), u(20)}},
+		{Label: "b", Units: []Unit{u(40), u(10)}},
+		{Label: "c", Units: []Unit{u(25)}},
 	}
+	after(tasks, "c", "a", "b")
 	r1, err1 := NewSchedule(2).Run(tasks)
 	r2, err2 := NewSchedule(2).Run(tasks)
 	if err1 != nil || err2 != nil {
@@ -190,14 +238,14 @@ func TestSchedulingInvariants(t *testing.T) {
 			units := make([]Unit, nu)
 			for j := range units {
 				d := time.Duration(rng.Intn(90)+10) * time.Millisecond
-				units[j] = Unit{Dur: d, Resource: ResourceLLM}
+				units[j] = Unit{Dur: d, Pool: OnMachine(0)}
 				totalBusy += d
 			}
-			tasks[i] = Task{ID: fmt.Sprintf("t%d", i), Units: units, Sequential: rng.Intn(2) == 0}
+			tasks[i] = Task{Units: units, Sequential: rng.Intn(2) == 0}
 			// Random backward dependencies keep the graph acyclic.
 			for j := 0; j < i; j++ {
 				if rng.Intn(4) == 0 {
-					tasks[i].Deps = append(tasks[i].Deps, fmt.Sprintf("t%d", j))
+					tasks[i].Deps = append(tasks[i].Deps, j)
 				}
 			}
 		}
@@ -215,13 +263,13 @@ func TestSchedulingInvariants(t *testing.T) {
 			t.Logf("makespan %v below busy/slots %v", res.Makespan, lower)
 			return false
 		}
-		if res.Busy[ResourceLLM] != totalBusy {
+		if res.Busy[0] != totalBusy {
 			return false
 		}
 		// Every task finishes after all its dependencies.
-		for _, task := range tasks {
+		for i, task := range tasks {
 			for _, d := range task.Deps {
-				if res.Finish[task.ID] < res.Finish[d] {
+				if res.Finish[i] < res.Finish[d] {
 					return false
 				}
 			}
@@ -233,24 +281,20 @@ func TestSchedulingInvariants(t *testing.T) {
 	}
 }
 
-// TestSerialOperatorsNotBelowDAG: operator-serial execution can never
-// beat the DAG schedule.
-func TestSerialOperatorsNotBelowDAG(t *testing.T) {
+// TestSerialNotBelowDAG: operator-serial execution can never beat the DAG
+// schedule.
+func TestSerialNotBelowDAG(t *testing.T) {
 	tasks := []Task{
-		{ID: "a", Units: []Unit{u(100), u(100)}},
-		{ID: "b", Units: []Unit{u(150)}},
-		{ID: "c", Deps: []string{"a", "b"}, Units: []Unit{u(50)}},
+		{Label: "a", Units: []Unit{u(100), u(100)}},
+		{Label: "b", Units: []Unit{u(150)}},
+		{Label: "c", Units: []Unit{u(50)}},
 	}
-	s := NewSchedule(4)
-	res, err := s.Run(tasks)
+	after(tasks, "c", "a", "b")
+	res, err := NewSchedule(4).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := s.SerialOperators(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser < res.Makespan {
+	if ser := Serial(tasks); ser < res.Makespan {
 		t.Errorf("serial %v below DAG %v", ser, res.Makespan)
 	}
 }

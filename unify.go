@@ -376,7 +376,7 @@ func open(ds *corpus.Dataset, cfg Config, planner, worker llm.Client) (*System, 
 		Config:   cfg,
 		Dataset:  ds,
 		Store:    store,
-		Pool:     sched.NewCluster(cfg.Machines, cfg.Slots).Pool,
+		Pool:     sched.NewCluster(cfg.Machines, cfg.Slots),
 		Profiler: obs.NewProfiler(),
 		SlowLog:  obs.NewSlowLog(cfg.SlowQueryVTime, nil),
 	}
